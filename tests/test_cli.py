@@ -1,6 +1,14 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from latclass.cli import main
+
+# One classify, same-class and enumerate request per spectrum family, with the
+# exit code and the --json output the program gave before its family dispatch
+# was gathered into families.spectrum_family.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -12,6 +20,13 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, "--json", *argv)
     return code, (json.loads(out) if out.strip() else None)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_output(capsys, case):
+    want = GOLDEN[case]
+    code, data = run_json(capsys, *want["argv"])
+    assert (code, data) == (want["exit"], want["output"])
 
 
 def test_enumerate_t2_plus_5(capsys):
