@@ -168,40 +168,20 @@ def faddeev_tau(order: FullLattice) -> TauData:
     mu = gcd(a, b, c, d)
     if mu == 0:
         raise DomainError("faddeev_tau: all four multiplication integers vanish")
-    t = len(_prime_divisors(mu))
+    t = len(xn.prime_divisors(mu))
     return TauData(a, b, c, d, mu, t, 2**t, tuple(w1), tuple(w2))
-
-
-def _prime_divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def project_lattice_matrix(dec: Decomposition, lat: FullLattice) -> xn.Mat:
     """pr_F(L) as a canonical basis matrix in coordinates of the separable basis."""
-    from math import lcm
-
     fbasis_rows = [[v[i] for v in dec.separable_basis] for i in range(dec.algebra.dim)]
     coords = []
     for g in lat.generators():
-        sol = _lstsq_exact(fbasis_rows, dec.project(g))
+        sol = xn.solve(fbasis_rows, dec.project(g))
         if sol is None:  # pragma: no cover - projection lands in F by construction
             raise DomainError("projection left the separable subspace")
         coords.append(sol)
-    d = 1
-    for c in coords:
-        for x in c:
-            d = lcm(d, x.denominator)
+    d = xn.denominator_lcm(coords)
     fdim = len(dec.separable_basis)
     rows = [[int(c[i] * d) for c in coords] for i in range(fdim)]
     h = xn.hnf(rows)
@@ -227,13 +207,13 @@ def projection_check(order: FullLattice, dec: Decomposition,
         return all(x.denominator == 1 for x in xn.rmat_solve(pm, coords))
 
     po = project_lattice_matrix(dec, order)
-    unit_f = _lstsq_exact(fbasis_rows, dec.project(alg.unit))
+    unit_f = xn.solve(fbasis_rows, dec.project(alg.unit))
     if not in_projected(po, unit_f):
         return False
     fcols = xn.columns(po)
     for x in fcols:
         for y in fcols:
-            prod = _lstsq_exact(fbasis_rows, alg.mul(ambient(x), ambient(y)))
+            prod = xn.solve(fbasis_rows, alg.mul(ambient(x), ambient(y)))
             if not in_projected(po, prod):
                 return False
     rng = Random(seed)
@@ -249,45 +229,13 @@ def projection_check(order: FullLattice, dec: Decomposition,
         cols = []
         for x in xn.columns(project_lattice_matrix(dec, l1)):
             for y in xn.columns(project_lattice_matrix(dec, l2)):
-                cols.append(_lstsq_exact(fbasis_rows, alg.mul(ambient(x), ambient(y))))
-        from math import lcm
-        d = 1
-        for c in cols:
-            for x in c:
-                d = lcm(d, x.denominator)
+                cols.append(xn.solve(fbasis_rows, alg.mul(ambient(x), ambient(y))))
+        d = xn.denominator_lcm(cols)
         rows = [[int(c[i] * d) for c in cols] for i in range(len(cols[0]))]
         prod_proj = tuple(tuple(Fraction(x, d) for x in row) for row in xn.hnf(rows))
         if p12 != prod_proj:
             return False
     return True
-
-
-def _lstsq_exact(a, b):
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    r = 0
-    piv_cols = []
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
-        m[r] = [x / p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, rows):
-        if m[i][cols] != 0:
-            return None
-    sol = [Fraction(0)] * cols
-    for i, c in enumerate(piv_cols):
-        sol[c] = m[i][cols]
-    return tuple(sol)
 
 
 def principal_unit_witness(transporter: FullLattice, source: FullLattice,

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import gcd
 
 from . import conjugacy as cj
 from . import exactnum as xn
@@ -46,7 +47,12 @@ def _read_matrix(text: str):
     if isinstance(data, dict):
         claimed = data.get("charpoly")
         data = data["matrix"]
-    m = tuple(tuple(int(x) for x in row) for row in data)
+    if not (isinstance(data, list) and data and all(
+            isinstance(row, list) and len(row) == len(data) for row in data)):
+        raise UsageError("a matrix must be a non-empty square JSON array of rows")
+    if not all(type(x) is int for row in data for x in row):
+        raise UsageError("matrix entries must be JSON integers")
+    m = tuple(tuple(row) for row in data)
     if claimed is not None:
         f = up.poly([Fraction(str(c)) for c in claimed])
         if up.charpoly(m) != f:
@@ -115,9 +121,9 @@ def cmd_classify(args) -> int:
     out["order_basis"] = _basis_json(lat.order().basis)
     out["lattice_basis"] = _basis_json(lat.basis)
     out["invertible"] = lat.is_invertible()
-    family = _family_info(m, cp)
-    if family:
-        out.update(family)
+    family_info = FAMILY_INFO.get(fam.spectrum_family(cp).tag)
+    if family_info is not None:
+        out.update(family_info(m))
     if args.same_class is not None:
         other = _read_matrix(args.same_class)
         verdict = cj.same_class(m, other)
@@ -128,131 +134,156 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _family_info(m, cp):
-    factors = up.factor_rationals(cp)
-    n = up.degree(cp)
-    roots = [int(-g[0]) for g, mult in factors for _ in range(mult)
-             if up.degree(g) == 1 and g[0].denominator == 1]
-    if n == 2 and len(factors) == 1 and up.degree(factors[0][0]) == 2:
-        form = qf.form_of_matrix(m)
-        info = {"family": "quadratic", "form": list(form)}
-        if form.four_disc() > 0:
-            info["river_period"] = [list(f) for f in qf.river(form).period]
-        return info
-    if n == 2 and len(roots) == 2 and roots[0] != roots[1]:
-        lo, hi, mu = fam.split2_normal_matrix(m)
-        return {"family": "split", "normal_form": [[hi - lo, int(mu)], [0, 0]],
-                "shift": lo}
-    if n == 2 and len(roots) == 2:
-        lam, g = fam.jordan2_normal_matrix(m)
-        return {"family": "jordan", "normal_form": [[0, g], [0, 0]], "shift": lam}
-    if n == 3 and len(set(roots)) == 3:
-        lams, triple = fam.split3_normal_form_of_matrix(m)
-        return {"family": "split", "eigenvalues": list(lams),
-                "normal_triple": [str(x) for x in triple]}
-    if n == 3 and len(roots) == 3 and len(set(roots)) == 1:
-        lam, (g22, g32, g33) = fam.jordan3_normal_form_of_matrix(m)
-        info = {"family": "jordan", "shift": lam,
-                "normal_triple": [str(g22), str(g32), str(g33)]}
-        if lam == 0 and all(x == 0 for x in (m[1][0], m[2][0], m[2][1]))  \
-                and m[0][1] > 0 and m[1][2] > 0 and m[0][2] <= 0:
-            m1, m2, m3 = m[0][1], m[1][2], -m[0][2]
-            from math import gcd as _g
-            if 0 <= m3 < _g(m1, m2):
-                n2, n3, n4, n1, d1 = fam.jordan_decode(m1, m2, m3)
-                info["order_params"] = {"n2": n2, "n3": n3, "n4": n4}
-                info["class_decomposition"] = {"n1": n1, "d1": d1}
-        return info
-    if n == 3 and len(roots) == 3 and len(set(roots)) == 2:
-        lams, triple = fam.mixed_normal_form_of_matrix(m)
-        return {"family": "mixed", "eigenvalues": list(lams),
-                "normal_triple": [str(x) for x in triple]}
-    return None
+def _info_quadratic(m) -> dict:
+    form = qf.form_of_matrix(m)
+    info = {"family": "quadratic", "form": list(form)}
+    if form.four_disc() > 0:
+        info["river_period"] = [list(f) for f in qf.river(form).period]
+    return info
+
+
+def _info_split2(m) -> dict:
+    lo, hi, mu = fam.split2_normal_matrix(m)
+    return {"family": "split", "normal_form": [[hi - lo, int(mu)], [0, 0]],
+            "shift": lo}
+
+
+def _info_jordan2(m) -> dict:
+    lam, g = fam.jordan2_normal_matrix(m)
+    return {"family": "jordan", "normal_form": [[0, g], [0, 0]], "shift": lam}
+
+
+def _info_split3(m) -> dict:
+    lams, triple = fam.split3_normal_form_of_matrix(m)
+    return {"family": "split", "eigenvalues": list(lams),
+            "normal_triple": [str(x) for x in triple]}
+
+
+def _info_jordan3(m) -> dict:
+    lam, triple = fam.jordan3_normal_form_of_matrix(m)
+    info = {"family": "jordan", "shift": lam,
+            "normal_triple": [str(x) for x in triple]}
+    # a representative [[0, m1, -m3], [0, 0, m2], [0, 0, 0]] names its order
+    if lam == 0 and all(x == 0 for x in (m[1][0], m[2][0], m[2][1]))  \
+            and m[0][1] > 0 and m[1][2] > 0 and m[0][2] <= 0:
+        m1, m2, m3 = m[0][1], m[1][2], -m[0][2]
+        if m3 < gcd(m1, m2):
+            n2, n3, n4, n1, d1 = fam.jordan_decode(m1, m2, m3)
+            info["order_params"] = {"n2": n2, "n3": n3, "n4": n4}
+            info["class_decomposition"] = {"n1": n1, "d1": d1}
+    return info
+
+
+def _info_mixed(m) -> dict:
+    lams, triple = fam.mixed_normal_form_of_matrix(m)
+    return {"family": "mixed", "eigenvalues": list(lams),
+            "normal_triple": [str(x) for x in triple]}
+
+
+# classify output per families.spectrum_family tag
+FAMILY_INFO = {
+    "quadratic": _info_quadratic,
+    "split2": _info_split2,
+    "jordan2": _info_jordan2,
+    "split3": _info_split3,
+    "jordan3": _info_jordan3,
+    "mixed": _info_mixed,
+}
 
 
 def cmd_enumerate(args) -> int:
     f = _read_poly(args.poly)
-    n = up.degree(f)
-    limit = args.limit
-    factors = up.factor_rationals(f)
-    roots = [int(-g[0]) for g, mult in factors for _ in range(mult)
-             if up.degree(g) == 1 and g[0].denominator == 1]
-    out = {"poly": up.to_string(f)}
-    if n == 1:
-        out.update(classes=[{"matrix": [[roots[0]]]}], count=1)
-    elif n == 2 and len(factors) == 1 and up.degree(factors[0][0]) == 2:
-        r, s = int(-f[1]), int(f[0])
-        classes = qf.gl2_classes(r, s)
-        out["count"] = len(classes)
-        out["sl2_count"] = sum(c["sl2_classes"] for c in classes)
-        out["classes"] = [{"matrix": _matrix_json(c["representative"]),
-                           "sl2_classes": c["sl2_classes"]} for c in classes]
-    elif n == 2 and len(roots) == 2 and roots[0] != roots[1]:
-        lo, hi = sorted(roots)
-        recs = fam.split2_enumerate(hi - lo)
-        out["count"] = len(recs)
-        out["classes"] = [
-            {"matrix": _matrix_json(_shift(rec["matrix"], lo)),
-             "order_alpha": rec["order_alpha"]} for rec in recs]
-    elif n == 2 and len(roots) == 2:
-        lam = roots[0]
-        out["infinite"] = True
-        out["classes"] = [{"matrix": _matrix_json(_shift(((0, m_), (0, 0)), lam))}
-                          for m_ in range(1, limit + 1)]
-    elif n == 3 and len(set(roots)) == 3 and len(roots) == 3:
-        lams = _fixture_or_sorted(roots)
-        recs = fam.split3_enumerate_classes(lams)
-        out["count"] = len(recs)
-        out["eigenvalue_order"] = list(lams)
-        out["classes"] = [{"matrix": _matrix_json(rec["matrix"]),
-                           "triple": [str(x) for x in rec["triple"]],
-                           "order": [rec["order"].a1, rec["order"].a2,
-                                     rec["order"].a3]} for rec in recs]
-    elif n == 3 and len(roots) == 3 and len(set(roots)) == 1:
-        lam = roots[0]
-        out["infinite"] = True
-        classes = []
-        for m1 in range(1, limit + 1):
-            for m2 in range(1, limit + 1):
-                from math import gcd as _g
-                for m3 in range(_g(m1, m2)):
-                    classes.append({"matrix": _matrix_json(
-                        _shift(((0, m1, -m3), (0, 0, m2), (0, 0, 0)), lam))})
-        out["classes"] = classes
-    elif n == 3 and len(roots) == 3 and len(set(roots)) == 2:
-        double = next(r for r in set(roots) if roots.count(r) == 2)
-        single = next(r for r in set(roots) if roots.count(r) == 1)
-        alpha = single - double
-        sign = 1 if alpha > 0 else -1
-        recs = fam.mixed_enumerate(abs(alpha), max_n2=limit)
-        out["infinite"] = True
-        out["classes"] = [{"matrix": _matrix_json(
-            _shift(tuple(tuple(sign * x for x in row) for row in rec["matrix"]),
-                   double)),
-            "triple": [str(x) for x in rec["triple"]]} for rec in recs]
-    elif n == 3 and tuple(f) == tuple(up.poly([16, 8, 4, 1])):
-        suite = fam.cubic_suite()
-        out["count"] = 6
-        out["classes"] = [{"name": fam.CUBIC_DISPLAY[name],
-                           "matrix": _matrix_json(suite["matrices"][name])}
-                          for name in fam.CUBIC_NAMES]
-    else:
+    spec = fam.spectrum_family(f)
+    enumerate_family = FAMILY_ENUMERATE.get(spec.tag)
+    if enumerate_family is None:
         raise LatClassError(
             "enumerate supports dimension <= 2, the rank-3 families with "
             "integer eigenvalues, and the fixture cubic field")
+    out = {"poly": up.to_string(f)}
+    out.update(enumerate_family(f, spec.roots, args.limit))
     _emit(out, args.json)
     return EXIT_OK
 
 
-def _fixture_or_sorted(roots):
-    if sorted(roots) == [-2, 0, 2]:
-        return fam.SPLIT_FIXTURE_LAMS
-    return tuple(sorted(roots))
+def _enum_linear(f, roots, limit) -> dict:
+    return {"classes": [{"matrix": [[roots[0][0]]]}], "count": 1}
 
 
-def _shift(m, lam):
-    return tuple(tuple(x + (lam if i == j else 0) for j, x in enumerate(row))
-                 for i, row in enumerate(m))
+def _enum_quadratic(f, roots, limit) -> dict:
+    classes = qf.gl2_classes(int(-f[1]), int(f[0]))
+    return {"count": len(classes),
+            "sl2_count": sum(c["sl2_classes"] for c in classes),
+            "classes": [{"matrix": _matrix_json(c["representative"]),
+                         "sl2_classes": c["sl2_classes"]} for c in classes]}
+
+
+def _enum_split2(f, roots, limit) -> dict:
+    (lo, _), (hi, _) = roots
+    recs = fam.split2_enumerate(hi - lo)
+    return {"count": len(recs),
+            "classes": [{"matrix": _matrix_json(xn.add_scalar(rec["matrix"], lo)),
+                         "order_alpha": rec["order_alpha"]} for rec in recs]}
+
+
+def _enum_jordan2(f, roots, limit) -> dict:
+    lam = roots[0][0]
+    return {"infinite": True,
+            "classes": [{"matrix": _matrix_json(xn.add_scalar(((0, k), (0, 0)), lam))}
+                        for k in range(1, limit + 1)]}
+
+
+def _enum_split3(f, roots, limit) -> dict:
+    lams = tuple(r for r, _ in roots)
+    if lams == tuple(sorted(fam.SPLIT_FIXTURE_LAMS)):
+        lams = fam.SPLIT_FIXTURE_LAMS
+    recs = fam.split3_enumerate_classes(lams)
+    return {"count": len(recs), "eigenvalue_order": list(lams),
+            "classes": [{"matrix": _matrix_json(rec["matrix"]),
+                         "triple": [str(x) for x in rec["triple"]],
+                         "order": [rec["order"].a1, rec["order"].a2,
+                                   rec["order"].a3]} for rec in recs]}
+
+
+def _enum_jordan3(f, roots, limit) -> dict:
+    lam = roots[0][0]
+    return {"infinite": True,
+            "classes": [{"matrix": _matrix_json(
+                xn.add_scalar(((0, m1, -m3), (0, 0, m2), (0, 0, 0)), lam))}
+                for m1 in range(1, limit + 1) for m2 in range(1, limit + 1)
+                for m3 in range(gcd(m1, m2))]}
+
+
+def _enum_mixed(f, roots, limit) -> dict:
+    root_of = {mult: r for r, mult in roots}
+    double, alpha = root_of[2], root_of[1] - root_of[2]
+    sign = 1 if alpha > 0 else -1
+    recs = fam.mixed_enumerate(abs(alpha), max_n2=limit)
+    return {"infinite": True,
+            "classes": [{"matrix": _matrix_json(xn.add_scalar(
+                tuple(tuple(sign * x for x in row) for row in rec["matrix"]),
+                double)), "triple": [str(x) for x in rec["triple"]]}
+                for rec in recs]}
+
+
+def _enum_cubic_fixture(f, roots, limit) -> dict:
+    suite = fam.cubic_suite()
+    return {"count": 6,
+            "classes": [{"name": fam.CUBIC_DISPLAY[name],
+                         "matrix": _matrix_json(suite["matrices"][name])}
+                        for name in fam.CUBIC_NAMES]}
+
+
+# enumerate output per families.spectrum_family tag
+FAMILY_ENUMERATE = {
+    "linear": _enum_linear,
+    "quadratic": _enum_quadratic,
+    "split2": _enum_split2,
+    "jordan2": _enum_jordan2,
+    "split3": _enum_split3,
+    "jordan3": _enum_jordan3,
+    "mixed": _enum_mixed,
+    "cubic_fixture": _enum_cubic_fixture,
+}
 
 
 def cmd_lattice(args) -> int:

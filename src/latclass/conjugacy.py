@@ -119,8 +119,6 @@ class ConjugacyClassTag:
     charpoly: up.Poly
     order_basis: xn.Mat
     representative_basis: xn.Mat
-    family: str | None = None
-    normal_form: tuple | None = None
 
 
 def class_tag(m) -> ConjugacyClassTag:
@@ -134,52 +132,48 @@ def same_class(m1, m2, bound: int = 3):
     Returns True / False, or None when undecided (the bounded transporter
     search is sound but incomplete outside the classified families).
     """
+    from .families import spectrum_family
+
     f1 = integer_charpoly(m1)
     f2 = integer_charpoly(m2)
     if f1 != f2:
         raise DomainError("same_class: characteristic polynomials differ")
     if not (is_regular(m1) and is_regular(m2)):
         raise DomainError("same_class: matrices must be regular")
-    decision = _family_decision(f1, m1, m2)
-    if decision is not None:
-        return decision
+    decide = FAMILY_DECIDERS.get(spectrum_family(f1).tag)
+    if decide is not None:
+        return decide(m1, m2)
     l1 = matrix_to_lattice(m1)
     l2 = matrix_to_lattice(m2)
     return epsilon_equivalent_bounded(l1, l2, bound)
 
 
-def _family_decision(f, m1, m2):
-    """Complete decisions for dim 2 and the split/jordan/mixed dim-3 families."""
-    from . import families, quadform
+def _decide_quadratic(m1, m2) -> bool:
+    from .quadform import matrices_conjugate
 
-    n = up.degree(f)
-    factors = up.factor_rationals(f)
-    linear_roots = []
-    for g, mult in factors:
-        if up.degree(g) == 1:
-            root = -g[0]
-            if root.denominator == 1:
-                linear_roots.extend([int(root)] * mult)
-    if n == 2:
-        if len(factors) == 1 and up.degree(factors[0][0]) == 2:
-            return quadform.matrices_conjugate(m1, m2)       # types IV and V
-        if len(linear_roots) == 2 and linear_roots[0] != linear_roots[1]:
-            return (families.split2_normal_matrix(m1)
-                    == families.split2_normal_matrix(m2))    # type III
-        if len(linear_roots) == 2:
-            return (families.jordan2_normal_matrix(m1)
-                    == families.jordan2_normal_matrix(m2))   # type II
-    if n == 3:
-        if len(linear_roots) == 3 and len(set(linear_roots)) == 3:
-            return (families.split3_normal_form_of_matrix(m1)
-                    == families.split3_normal_form_of_matrix(m2))
-        if len(linear_roots) == 3 and len(set(linear_roots)) == 1:
-            return (families.jordan3_normal_form_of_matrix(m1)
-                    == families.jordan3_normal_form_of_matrix(m2))
-        if len(linear_roots) == 3 and len(set(linear_roots)) == 2:
-            return (families.mixed_normal_form_of_matrix(m1)
-                    == families.mixed_normal_form_of_matrix(m2))
-    return None
+    return matrices_conjugate(m1, m2)
+
+
+def _same_invariant(name: str):
+    """Decide by equality of the complete invariant ``families.<name>``."""
+    def decide(m1, m2) -> bool:
+        from . import families
+
+        invariant = getattr(families, name)
+        return invariant(m1) == invariant(m2)
+    return decide
+
+
+# complete decisions in dimension 2 and for the split/jordan/mixed families of
+# dimension 3, keyed by families.spectrum_family tag
+FAMILY_DECIDERS = {
+    "quadratic": _decide_quadratic,                           # types IV and V
+    "split2": _same_invariant("split2_normal_matrix"),        # type III
+    "jordan2": _same_invariant("jordan2_normal_matrix"),      # type II
+    "split3": _same_invariant("split3_normal_form_of_matrix"),
+    "jordan3": _same_invariant("jordan3_normal_form_of_matrix"),
+    "mixed": _same_invariant("mixed_normal_form_of_matrix"),
+}
 
 
 def class_product(m1, m2) -> xn.Mat:

@@ -40,6 +40,70 @@ def gcd_q(q1, q2) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# small integer arithmetic
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of |n| by trial division: (prime, exponent) pairs
+    in increasing order of the prime."""
+    n = abs(n)
+    if n == 0:
+        raise DomainError("factorize: zero has no prime factorization")
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n != 0 in increasing order."""
+    out = [1]
+    for p, e in factorize(n):
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def prime_divisors(n: int) -> list[int]:
+    """The primes dividing n != 0 in increasing order."""
+    return [p for p, _ in factorize(n)]
+
+
+def euler_phi(n: int) -> int:
+    """The number of k in [1, n] coprime to n >= 1."""
+    out = 1
+    for p, e in factorize(n):
+        out *= (p - 1) * p ** (e - 1)
+    return out
+
+
+def squarefree_split(n: int) -> tuple[int, int]:
+    """n = delta * g^2 with delta squarefree (sign kept on delta)."""
+    if n == 0:
+        raise DomainError("zero has no squarefree part")
+    delta, g = (1 if n > 0 else -1), 1
+    for p, e in factorize(n):
+        delta *= p ** (e % 2)
+        g *= p ** (e // 2)
+    return delta, g
+
+
+def icbrt(n: int) -> int:
+    """The integer cube root floor(n^(1/3)) of n >= 0, by Newton's method."""
+    x = 1 << -(-n.bit_length() // 3)      # 2^ceil(bits/3) exceeds the root
+    while x and (y := (2 * x + n // (x * x)) // 3) < x:
+        x = y
+    return x
+
+
+# ---------------------------------------------------------------------------
 # generic dense matrix helpers
 
 def mat(rows) -> Mat:
@@ -48,10 +112,6 @@ def mat(rows) -> Mat:
 
 def identity(n, one=1) -> Mat:
     return tuple(tuple(one if i == j else 0 * one for j in range(n)) for i in range(n))
-
-
-def zeros(rows, cols) -> Mat:
-    return tuple((0,) * cols for _ in range(rows))
 
 
 def transpose(a) -> Mat:
@@ -67,16 +127,10 @@ def mat_vec(a, v) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def mat_add(a, b) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a, c) -> Mat:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_eq_zero(a) -> bool:
-    return all(all(x == 0 for x in row) for row in a)
+def add_scalar(a, c) -> Mat:
+    """a + c*I for a square matrix a."""
+    return tuple(tuple(x + c if i == j else x for j, x in enumerate(row))
+                 for i, row in enumerate(a))
 
 
 def columns(a) -> list[tuple]:
@@ -191,6 +245,37 @@ def nullspace(a) -> list[tuple]:
             v[pc] = -m[i][fc]
         basis.append(tuple(v))
     return basis
+
+
+def solve(a, b):
+    """The unique solution x of a*x = b, or None unless a has full column
+    rank and the system is consistent."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
+    r = 0
+    piv_cols = []
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        p = m[r][c]
+        m[r] = [x / p for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        piv_cols.append(c)
+        r += 1
+    if len(piv_cols) < cols:
+        return None
+    for i in range(r, rows):
+        if m[i][cols] != 0:
+            return None
+    sol = [Fraction(0)] * cols
+    for i, c in enumerate(piv_cols):
+        sol[c] = m[i][cols]
+    return tuple(sol)
 
 
 def column_space_basis(a) -> list[tuple]:
@@ -341,11 +426,6 @@ def snf(a) -> tuple[Mat, Mat, Mat]:
                 changed = True
                 break
     return mat(u), mat(s), mat(v)
-
-
-def snf_diagonal(a) -> tuple[int, ...]:
-    _, s, _ = snf(a)
-    return tuple(s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)))
 
 
 def unimodular_inverse(a) -> Mat:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from importlib.resources import files
 from itertools import product as iproduct
 from math import gcd, lcm
+from typing import NamedTuple
 
 from . import classes as cl
 from . import exactnum as xn
@@ -34,14 +35,62 @@ FLAT3 = flat3_algebra()
 
 HALF = Fraction(1, 2)
 
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    return [d for d in range(1, n + 1) if n % d == 0]
+# characteristic polynomial of the fixture cubic field's generator 2*beta
+CUBIC_POLY = up.poly([16, 8, 4, 1])
 
 
-def _phi(n: int) -> int:
-    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+# ===========================================================================
+# spectrum dispatch
+
+class Spectrum(NamedTuple):
+    """The family of a characteristic polynomial, and its integer roots in
+    increasing order as (root, multiplicity) pairs."""
+    tag: str | None
+    roots: tuple[tuple[int, int], ...]
+
+
+# (degree, sorted root multiplicities) -> tag, when every root is an integer
+_ROOT_PATTERNS = {
+    (1, (1,)): "linear",
+    (2, (1, 1)): "split2",
+    (2, (2,)): "jordan2",
+    (3, (1, 1, 1)): "split3",
+    (3, (3,)): "jordan3",
+    (3, (1, 2)): "mixed",
+}
+
+
+def spectrum_family(f) -> Spectrum:
+    """Which closed-form family the monic integer polynomial f belongs to.
+
+    The tag is one of ``linear``, ``quadratic`` (irreducible of degree 2),
+    ``split2``, ``jordan2``, ``split3``, ``jordan3``, ``mixed`` (a double and
+    a single root), ``cubic_fixture`` (CUBIC_POLY) or None for any other f.
+    """
+    f = up.poly(f)
+    if not up.is_monic(f) or any(c.denominator != 1 for c in f):
+        raise DomainError("expected a monic polynomial with integer coefficients")
+    n = up.degree(f)
+    # a rational root of a monic integer polynomial is an integer
+    roots = tuple(sorted((int(-g[0]), mult) for g, mult in up.factor_rationals(f)
+                         if up.degree(g) == 1))
+    mults = tuple(sorted(mult for _, mult in roots))
+    if sum(mults) == n:
+        tag = _ROOT_PATTERNS.get((n, mults))
+    elif n == 2:
+        tag = "quadratic"
+    else:
+        tag = "cubic_fixture" if f == CUBIC_POLY else None
+    return Spectrum(tag, roots)
+
+
+def _family_roots(m, tag: str) -> tuple[tuple[int, int], ...]:
+    """The (root, multiplicity) pairs of m's characteristic polynomial,
+    which must belong to the family ``tag``."""
+    spec = spectrum_family(up.charpoly(m))
+    if spec.tag != tag:
+        raise DomainError(f"matrix spectrum is of family {spec.tag}, not {tag}")
+    return spec.roots
 
 
 def _centered(v: int, m: int) -> int:
@@ -88,8 +137,8 @@ def split3_order_params(order: FullLattice) -> SplitOrderParams:
 def split3_orders_above(p: SplitOrderParams) -> list[SplitOrderParams]:
     """All orders containing the given one (finitely many, by divisors)."""
     out = []
-    for b1 in _divisors(p.a1):
-        for b2 in _divisors(p.a2):
+    for b1 in xn.divisors(p.a1):
+        for b2 in xn.divisors(p.a2):
             for b3 in range(-((b1 - 1) // 2), b1 // 2 + 1):
                 if (b3 * (b2 - b3)) % b1:
                     continue
@@ -122,7 +171,7 @@ def split3_tau(p: SplitOrderParams) -> cl.TauData:
     c = p.a1
     d = 0
     mu = gcd(a, b, c, d)
-    t = len(cl._prime_divisors(mu))
+    t = len(xn.prime_divisors(mu))
     w1 = SPLIT3.element((0, p.a2 - p.a3, -p.a3))
     w2 = SPLIT3.element((p.a1, 0, 0))
     return cl.TauData(a, b, c, d, mu, t, 2**t, w1, w2)
@@ -133,7 +182,7 @@ def split3_group_size(p: SplitOrderParams) -> int:
     (b1, b2, b3), cond = split3_conductor(p)
     order = split3_order_lattice(p)
     units_small, _ = cl.quotient_units(cl.finite_quotient(order, cond))
-    units_big = _phi(b1) * _phi(b2) * _phi(b3)
+    units_big = xn.euler_phi(b1) * xn.euler_phi(b2) * xn.euler_phi(b3)
     size = Fraction(units_big, units_small) * Fraction(split_unit_size(order), 8)
     if size.denominator != 1:  # pragma: no cover - the size formula is integral
         raise AssertionError("group size formula did not give an integer")
@@ -227,11 +276,7 @@ def split3_normal_form_of_matrix(m) -> tuple:
 
 
 def _split3_lattice_of_matrix(m):
-    cp = up.charpoly(m)
-    roots = sorted(int(-g[0]) for g, _ in up.factor_rationals(cp))
-    if len(set(roots)) != 3:
-        raise DomainError("matrix does not have three distinct integer eigenvalues")
-    lams = tuple(roots)
+    lams = tuple(r for r, _ in _family_roots(m, "split3"))
     lat_f = matrix_to_lattice(m)
     # transport t -> lams . e from the power-basis presentation
     trans = tuple(tuple(Fraction(lam) ** k for k in range(3)) for lam in lams)
@@ -252,7 +297,7 @@ def split2_orders_above(alpha: int) -> list[int]:
     """Orders containing the one with invariant alpha: the divisors."""
     if alpha < 1:
         raise DomainError("split2_orders_above: alpha must be positive")
-    return _divisors(alpha)
+    return xn.divisors(alpha)
 
 
 def split2_normalize(l: FullLattice) -> Fraction:
@@ -277,15 +322,9 @@ def split2_enumerate(lam: int) -> list[dict]:
 
 def split2_normal_matrix(m) -> tuple:
     """Normal form data (lam1, lam2, mu) for distinct integer eigenvalues."""
-    cp = up.charpoly(m)
-    roots = sorted(int(-g[0]) for g, _ in up.factor_rationals(cp))
-    if len(roots) != 2 or roots[0] == roots[1]:
-        raise DomainError("matrix does not have two distinct integer eigenvalues")
-    lo, hi = roots
+    (lo, _), (hi, _) = _family_roots(m, "split2")
     lam = hi - lo
-    shifted = tuple(tuple(x - (lo if i == j else 0) for j, x in enumerate(row))
-                    for i, row in enumerate(m))
-    lat_f = matrix_to_lattice(shifted)
+    lat_f = matrix_to_lattice(xn.add_scalar(m, -lo))
     trans = ((1, Fraction(lam)), (1, Fraction(0)))
     cols = [xn.mat_vec(trans, g) for g in lat_f.generators()]
     lat = span(SPLIT2, cols)
@@ -364,7 +403,7 @@ def jordan_invertible(l: FullLattice) -> bool:
 
 
 def _coprime_splits(n: int) -> list[tuple[int, int]]:
-    return [(n1, n // n1) for n1 in _divisors(n) if gcd(n1, n // n1) == 1]
+    return [(n1, n // n1) for n1 in xn.divisors(n) if gcd(n1, n // n1) == 1]
 
 
 def jordan_enumerate(n2: int, n3: int, n4: int) -> list[dict]:
@@ -400,27 +439,15 @@ def jordan_decode(m1: int, m2: int, m3: int) -> tuple[int, int, int, int, int]:
 
 def jordan3_normal_form_of_matrix(m) -> tuple:
     """Complete invariant (eigenvalue, normal triple) for a rank-3 single block."""
-    cp = up.charpoly(m)
-    lam = -cp[2] / 3
-    if lam.denominator != 1:
-        raise DomainError("matrix eigenvalue is not an integer")
-    lam = int(lam)
-    shifted = tuple(tuple(x - (lam if i == j else 0) for j, x in enumerate(row))
-                    for i, row in enumerate(m))
-    lat = matrix_to_lattice(shifted)
+    (lam, _), = _family_roots(m, "jordan3")
+    lat = matrix_to_lattice(xn.add_scalar(m, -lam))
     return lam, jordan_normalize(lat)
 
 
 def jordan2_normal_matrix(m) -> tuple:
     """(eigenvalue, m) with representative [[0, m], [0, 0]] after the shift."""
-    cp = up.charpoly(m)
-    lam = -cp[1] / 2
-    if lam.denominator != 1:
-        raise DomainError("matrix eigenvalue is not an integer")
-    lam = int(lam)
-    n = [[int(x) - (lam if i == j else 0) for j, x in enumerate(row)]
-         for i, row in enumerate(m)]
-    entries = [x for row in n for x in row]
+    (lam, _), = _family_roots(m, "jordan2")
+    entries = [int(x) for row in xn.add_scalar(m, -lam) for x in row]
     if not any(entries):
         raise DomainError("matrix is scalar, not regular")
     return lam, gcd(*entries)
@@ -455,9 +482,7 @@ def _a_line_content(l: FullLattice) -> Fraction:
     if len(kernel) != 1:  # pragma: no cover - full lattices meet Qa in rank 1
         raise AssertionError("radical line intersection is not rank 1")
     c = kernel[0]
-    den = 1
-    for x in c:
-        den = lcm(den, x.denominator)
+    den = xn.denominator_lcm([c])
     ints = [int(x * den) for x in c]
     g = gcd(*ints)
     prim = [x // g for x in ints]
@@ -467,12 +492,7 @@ def _a_line_content(l: FullLattice) -> Fraction:
 
 def _integer_preimage(p_rows, target):
     """An integer solution c of P c = target (P integral, solvable)."""
-    den = 1
-    for row in p_rows:
-        for x in row:
-            den = lcm(den, Fraction(x).denominator)
-    for x in target:
-        den = lcm(den, Fraction(x).denominator)
+    den = xn.denominator_lcm([*p_rows, target])
     pm = [[int(Fraction(x) * den) for x in row] for row in p_rows]
     tv = [int(Fraction(x) * den) for x in target]
     u, s, v = xn.snf(pm)
@@ -499,10 +519,7 @@ def _mixed_shaped_triple(l: FullLattice) -> tuple[Fraction, Fraction, Fraction]:
     alg = l.algebra
     b = l.basis
     # project to F = (e1, e2): canonical 2x2 basis
-    d = 1
-    for row in b[:2]:
-        for x in row:
-            d = lcm(d, x.denominator)
+    d = xn.denominator_lcm(b[:2])
     pr = xn.hnf([[int(x * d) for x in row] for row in b[:2]])
     p11, p12, p22 = Fraction(pr[0][0], d), Fraction(pr[0][1], d), Fraction(pr[1][1], d)
     u = alg.element((1 / p11, 1 / p22, 0))
@@ -584,7 +601,7 @@ def mixed_tau(p: MixedOrderParams) -> tuple[int, int, int]:
     """(mu, t, tau): tau = 2^t counts w-classes of exact ideals."""
     n3 = int(p.a3 * p.a1 / p.a2)
     mu = gcd(p.a1, n3)
-    t = len(cl._prime_divisors(mu)) if mu else 0
+    t = len(xn.prime_divisors(mu))
     return mu, t, 2**t
 
 
@@ -665,14 +682,11 @@ def mixed_enumerate(alpha: int, max_n2: int = 8) -> list[dict]:
 def mixed_normal_form_of_matrix(m) -> tuple:
     """Complete invariant for 3x3 matrices with a double and a single integer
     eigenvalue: (eigenvalues, sign, normal triple)."""
-    cp = up.charpoly(m)
-    factors = up.factor_rationals(cp)
-    double = next(int(-g[0]) for g, mult in factors if mult == 2)
-    single = next(int(-g[0]) for g, mult in factors if mult == 1)
+    root_of = {mult: r for r, mult in _family_roots(m, "mixed")}
+    double, single = root_of[2], root_of[1]
     alpha = single - double
     sign = 1 if alpha > 0 else -1
-    shifted = tuple(tuple(sign * (x - (double if i == j else 0))
-                          for j, x in enumerate(row)) for i, row in enumerate(m))
+    shifted = tuple(tuple(sign * x for x in row) for row in xn.add_scalar(m, -double))
     lat_f = matrix_to_lattice(shifted)
     a0 = abs(alpha)
     # transport t -> a0*e1 + a: 1 -> (1,1,0), t -> (a0,0,1), t^2 -> (a0^2,0,0)
@@ -774,7 +788,7 @@ def orders_between(small: FullLattice, big: FullLattice) -> list[FullLattice]:
                         and m.is_order() and m not in out:
                     out.append(m)
             return
-        for d in _divisors(total):
+        for d in xn.divisors(total):
             rec(i + 1, diag + [d])
     rec(0, [])
     return out
@@ -944,7 +958,7 @@ def split202m2_tables() -> dict[str, str]:
         p = SplitOrderParams(a1, a2, a3)
         order = split3_order_lattice(p)
         betas, cond = split3_conductor(p)
-        nb = _phi(betas[0]) * _phi(betas[1]) * _phi(betas[2])
+        nb = xn.euler_phi(betas[0]) * xn.euler_phi(betas[1]) * xn.euler_phi(betas[2])
         ns, _ = cl.quotient_units(cl.finite_quotient(order, cond))
         lines.append("\t".join([f"O{a1}{a2}{a3}".replace("-", "m"),
                                 str(split_unit_size(order)), str(betas),

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
-from math import isqrt, lcm
 
 from . import exactnum as xn
 from .errors import DomainError, UnsupportedError
@@ -30,19 +29,12 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def is_zero(p: Poly) -> bool:
-    return not p
-
-
 def is_monic(p: Poly) -> bool:
     return bool(p) and p[-1] == 1
 
 
 def constant(c) -> Poly:
     return poly([c])
-
-
-X = poly([0, 1])
 
 
 def add(p: Poly, q: Poly) -> Poly:
@@ -175,7 +167,10 @@ def to_string(p: Poly, var: str = "t") -> str:
 
 
 def from_string(text: str, var: str = "t") -> Poly:
-    """Parse sums of monomials like ``t^3+4t^2+8t+16`` or ``t^2-t-1``."""
+    """Parse sums of monomials like ``t^3+4t^2+8t+16`` or ``t^2-t-1``.
+
+    Raises ValueError on a term it cannot read in full.
+    """
     s = text.replace(" ", "").replace("**", "^").replace("*", "")
     if not s:
         raise DomainError("empty polynomial string")
@@ -186,7 +181,9 @@ def from_string(text: str, var: str = "t") -> Poly:
             continue
         if var in tok:
             head, _, tail = tok.partition(var)
-            exp = int(tail[1:]) if tail.startswith("^") else 1
+            if tail and not tail.startswith("^"):
+                raise ValueError(f"cannot parse the term {tok!r}")
+            exp = int(tail[1:]) if tail else 1
             if head in ("", "-"):
                 c = Fraction(-1 if head == "-" else 1)
             else:
@@ -230,20 +227,9 @@ def _int_coeffs(f: Poly) -> tuple[list[int], int]:
     Returns (integer coefficients ascending, m) for g(u) = m^n f(u/m).
     """
     n = degree(f)
-    m = 1
-    for c in f:
-        m = lcm(m, c.denominator)
+    m = xn.denominator_lcm([f])
     g = [f[i] * Fraction(m) ** (n - i) for i in range(n + 1)]
     return [int(c) for c in g], m
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.update((d, n // d))
-    return sorted(out)
 
 
 def _rational_roots(g: list[int]) -> list[Fraction]:
@@ -254,8 +240,8 @@ def _rational_roots(g: list[int]) -> list[Fraction]:
     zero_mult = next(i for i, c in enumerate(g) if c != 0)
     if zero_mult:
         roots.append(Fraction(0))
-    for p in _divisors(c0):
-        for q in _divisors(lead):
+    for p in xn.divisors(c0):
+        for q in xn.divisors(lead):
             for r in (Fraction(p, q), Fraction(-p, q)):
                 if evaluate(poly(g), r) == 0 and r not in roots:
                     roots.append(r)
@@ -271,7 +257,7 @@ def _kronecker_factor(h: Poly) -> Poly | None:
         values = [int(evaluate(h, x)) for x in points]
         divisor_sets = []
         for v in values:
-            ds = _divisors(v)
+            ds = xn.divisors(v)
             divisor_sets.append([x for d_ in ds for x in (d_, -d_)])
         for combo in iproduct(*divisor_sets):
             g = _interpolate(points, combo)
@@ -374,7 +360,7 @@ def minpoly(m) -> Poly:
             cols = krylov + [v]
             # look for a rational dependence of v on the previous vectors
             a = [[cols[j][i] for j in range(len(krylov))] for i in range(n)]
-            sol = _solve_least(a, v)
+            sol = xn.solve(a, v)
             if sol is not None:
                 p = poly(list(map(lambda c: -c, sol)) + [1])
                 break
@@ -384,36 +370,6 @@ def minpoly(m) -> Poly:
         if degree(out) == n:
             break
     return out
-
-
-def _solve_least(a, b):
-    """Solve a*x = b exactly if consistent (a has full column rank), else None."""
-    rows, cols = len(a), len(a[0]) if a else 0
-    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    r = 0
-    piv_cols = []
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
-        m[r] = [x / p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-    if len(piv_cols) < cols:
-        return None  # dependent columns: caller extends the Krylov space
-    for i in range(r, rows):
-        if m[i][cols] != 0:
-            return None
-    sol = [Fraction(0)] * cols
-    for i, c in enumerate(piv_cols):
-        sol[c] = m[i][cols]
-    return tuple(sol)
 
 
 def char_min_poly(m) -> tuple[Poly, Poly]:

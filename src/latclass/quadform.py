@@ -29,42 +29,13 @@ class QuadForm(NamedTuple):
     def four_disc(self) -> int:
         return self.h * self.h - 4 * self.a * self.b
 
-    def disc(self) -> Fraction:
-        return Fraction(self.four_disc(), 4)
-
     def reversed(self) -> "QuadForm":
         """The same unoriented edge read in the opposite direction."""
         return QuadForm(self.b, -self.h, self.a)
 
 
-def reflect_form(f: QuadForm) -> QuadForm:
-    """Representative of the mirror proper class within the GL2 class."""
-    return QuadForm(-f.a, f.h, -f.b)
-
-
 def is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
-
-
-def squarefree_split(n: int) -> tuple[int, int]:
-    """n = delta * g^2 with delta squarefree (sign kept on delta)."""
-    if n == 0:
-        raise DomainError("zero has no squarefree part")
-    sign = 1 if n > 0 else -1
-    n = abs(n)
-    delta, g = 1, 1
-    p = 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e % 2:
-            delta *= p
-        g *= p ** (e // 2)
-        p += 1
-    delta *= n
-    return sign * delta, g
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +214,7 @@ def _unit_from_automorph(p, seed) -> tuple[int, tuple[int, int]]:
         raise AssertionError("automorph does not commute with the seed matrix")
     r = sa + sd
     four_d = (sa - sd) ** 2 + 4 * sb * sc
-    delta, g = squarefree_split(four_d)
+    delta, g = xn.squarefree_split(four_d)
     lam0, lam1 = _lambda_in_omega(r, four_d)
     c0 = x + y * lam0
     c1 = y * lam1
@@ -254,7 +225,7 @@ def _unit_from_automorph(p, seed) -> tuple[int, tuple[int, int]]:
 
 def _lambda_in_omega(r: int, four_d: int) -> tuple[Fraction, Fraction]:
     """Coordinates of lambda1 = r/2 + sqrt(four_d)/2 in the basis (1, omega)."""
-    delta, g = squarefree_split(four_d)
+    delta, g = xn.squarefree_split(four_d)
     if delta % 4 == 1:
         # omega = (1 + sqrt(delta))/2, lambda1 = (r-g)/2 + g*omega
         return Fraction(r - g, 2), Fraction(g)
@@ -308,7 +279,7 @@ def matrices_conjugate(m1, m2) -> bool:
 
 def omega_poly(delta: int) -> up.Poly:
     """Minimal polynomial of the maximal-order generator omega."""
-    if delta in (0, 1) or squarefree_split(delta)[1] != 1:
+    if delta in (0, 1) or xn.squarefree_split(delta)[1] != 1:
         raise DomainError("omega_poly: delta must be squarefree and not 0 or 1")
     if delta % 4 == 1:
         return up.poly([-(delta - 1) // 4, -1, 1])   # t^2 - t - (delta-1)/4
@@ -331,7 +302,7 @@ def matrix_lattice(m) -> FullLattice:
     four_d = (a - d) ** 2 + 4 * b * c
     if is_square(four_d):
         raise DomainError("matrix_lattice: characteristic polynomial is reducible")
-    delta, _ = squarefree_split(four_d)
+    delta, _ = xn.squarefree_split(four_d)
     alg, _ = quad_algebra(delta)
     lam0, lam1 = _lambda_in_omega(r, four_d)
     return FullLattice(alg, [(c, 0), (lam0 - a, lam1)])
@@ -345,7 +316,7 @@ def order_index_of_matrix(m) -> tuple[int, int]:
     if basis[0][0] != 1 or basis[0][1] != 0:  # pragma: no cover - orders contain 1
         raise AssertionError("unexpected order basis shape")
     (a, b), (c, d) = m
-    delta, _ = squarefree_split((a - d) ** 2 + 4 * b * c)
+    delta, _ = xn.squarefree_split((a - d) ** 2 + 4 * b * c)
     n = basis[1][1]
     if n.denominator != 1:  # pragma: no cover
         raise AssertionError("order basis is not integral")
@@ -384,20 +355,17 @@ def fundamental_unit(delta: int) -> tuple[tuple[int, int], int]:
     x, y, nrm = cf_pell(delta)
     if delta % 4 != 1:
         return (x, y), nrm
-    # delta = 1 mod 4: search the half-integer units (p + q sqrt(delta))/2
-    best = None
-    for q in range(1, 2 * y + 1):
-        for pm in (-4, 4):
-            p2 = delta * q * q + pm
-            if p2 > 0 and is_square(p2):
-                p = isqrt(p2)
-                if (p - q) % 2 == 0:
-                    if best is None or (q, p) < (best[1], best[0]):
-                        best = (p, q, pm // 4)
-        if best:
-            break
-    p, q, nrm4 = best if best else (2 * x, 2 * y, nrm)
-    return ((p - q) // 2, q), nrm4
+    # delta = 1 mod 4: x + y sqrt(delta) is eps0 or eps0^3 for the fundamental
+    # unit eps0 = (p + q sqrt(delta))/2, whose trace p solves
+    # p^3 - 3*nrm*p = 2x, the trace of eps0^3
+    c = xn.icbrt(2 * x)
+    for p in range(max(c - 1, 1), c + 2):
+        if p**3 - 3 * nrm * p == 2 * x:
+            q2, rem = divmod(p * p - 4 * nrm, delta)
+            q = isqrt(q2)
+            if not rem and q * q == q2 and (p - q) % 2 == 0:
+                return ((p - q) // 2, q), nrm
+    return (x - y, 2 * y), nrm
 
 
 def unit_in_order(delta: int, n: int) -> tuple[int, tuple[int, int], int]:
@@ -499,9 +467,7 @@ def quad_order_tables(delta: int, n_max: int) -> list[dict]:
         assert cond == lam1.scale(n)       # conductor is n * Lambda_1
         nb, big_units = quotient_units(finite_quotient(lam1, cond))
         ns, _ = quotient_units(finite_quotient(lam_n, cond))
-        # Euler phi of n equals the small quotient's unit count
-        phi = sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
-        assert ns == phi
+        assert ns == xn.euler_phi(n)      # the small quotient's unit count
         # norm-gcd criterion for the big quotient
         crit = sum(1 for x in finite_quotient(lam1, cond).reps
                    if gcd(int(alg.norm(x)), n) == 1)

@@ -411,7 +411,7 @@ def test_criterion_8_families_cross_validation():
                                     (0, 0, F(1, n2 * n2 * n3))])
                 assert order.is_order()
                 assert len(recs) == cl.faddeev_tau(order).tau if n3 > 1 else True
-                assert len(recs) == 2 ** len(cl._prime_divisors(n3)) if n3 > 1 \
+                assert len(recs) == 2 ** len(xn.prime_divisors(n3)) if n3 > 1 \
                     else len(recs) == 1
                 for rec in recs:
                     assert rec["lattice"].order() == order
@@ -456,7 +456,8 @@ def test_criterion_9_round_trip_conjugacy():
             conj = xn.mat_mul(xn.mat_mul(xn.unimodular_inverse(u), m), u)
             assert up.charpoly(conj) == cp
             assert cj.matrix_to_lattice(conj).order() == lat.order()
-            if done % 4 == 0 and _decidable_family(cp):
+            if done % 4 == 0 and \
+                    fam.spectrum_family(cp).tag in cj.FAMILY_DECIDERS:
                 assert cj.same_class(m, conj) is True
         # distinct known classes answer False
         assert cj.same_class(((0, -5), (1, 0)), ((1, -3), (2, -1))) is False
@@ -465,13 +466,3 @@ def test_criterion_9_round_trip_conjugacy():
         assert cj.same_class(((0, 1, 0), (0, 0, 4), (0, 0, 0)),
                              ((0, 2, 0), (0, 0, 2), (0, 0, 0))) is False
 
-
-def _decidable_family(cp):
-    n = up.degree(cp)
-    factors = up.factor_rationals(cp)
-    roots = [g for g, _ in factors if up.degree(g) == 1]
-    if n == 2:
-        return True
-    ints = [int(-g[0]) for g, mult in factors
-            for _ in range(mult) if up.degree(g) == 1 and g[0].denominator == 1]
-    return len(ints) == 3

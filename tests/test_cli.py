@@ -168,10 +168,20 @@ def test_usage_errors_exit_1(capsys):
                  "--basis", "[[1,0],[0,1]]"]) == 1     # missing --basis2
     assert main(["nonsense"]) == 1
     assert main(["classify", "--matrix", "not json"]) == 1
+    for bad in ("[[1,2],[3]]", "[]", "[[]]", "[[1,2,3],[4,5,6]]",
+                "[[1.5,0],[0,1]]", "[[true,0],[0,1]]", '[["1",0],[0,1]]'):
+        assert main(["classify", "--matrix", bad]) == 1
+    assert main(["classify", "--matrix", "[[0,1],[1,0]]",
+                 "--same-class", "[[1,0],[0]]"]) == 1
+    assert main(["enumerate", "--poly", "t/2"]) == 1
+    assert main(["enumerate", "--poly", "3t/4+1"]) == 1
 
 
 def test_domain_error_exit_2(capsys):
     assert main(["quadform", "enumerate", "-r", "1", "-s", "-2"]) == 2
+    # not monic integer polynomials
+    assert main(["enumerate", "--poly", "t^2+t+3/2"]) == 2
+    assert main(["enumerate", "--poly", "2t^2+1"]) == 2
 
 
 def test_matrix_with_claimed_charpoly(capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -33,6 +34,26 @@ def _gcd_q_oracle(q1, q2, bound=25):
             if v > 0 and (best is None or v < best):
                 best = v
     return best
+
+
+def test_integer_helpers_match_naive_oracles():
+    for n in range(1, 400):
+        divs = [d for d in range(1, n + 1) if n % d == 0]
+        primes = [p for p in divs[1:] if all(p % q for q in range(2, p))]
+        assert xn.divisors(n) == xn.divisors(-n) == divs
+        assert xn.prime_divisors(n) == primes
+        assert xn.euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+        delta, g = xn.squarefree_split(-n)
+        assert delta * g * g == -n and delta < 0
+        assert all(delta % (p * p) for p in primes)
+        c = xn.icbrt(n)
+        assert c**3 <= n < (c + 1) ** 3
+    big = 3**70 + 12345
+    c = xn.icbrt(big)
+    assert c**3 <= big < (c + 1) ** 3
+    for f in (xn.factorize, xn.divisors, xn.squarefree_split):
+        with pytest.raises(DomainError):
+            f(0)
 
 
 def test_gcd_q_examples():

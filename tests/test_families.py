@@ -5,11 +5,36 @@ import pytest
 
 from latclass import classes as cl
 from latclass import families as fam
+from latclass import poly as up
 from latclass.errors import DomainError
 from latclass.lattice import span
 
 F = Fraction
 H = Fraction(1, 2)
+
+
+def test_spectrum_family():
+    cases = {
+        "t-3": ("linear", ((3, 1),)),
+        "t^2+5": ("quadratic", ()),
+        "t^2-7": ("quadratic", ()),
+        "t^2-4": ("split2", ((-2, 1), (2, 1))),
+        "t^2-2t+1": ("jordan2", ((1, 2),)),
+        "t^3-4t": ("split3", ((-2, 1), (0, 1), (2, 1))),
+        "t^3": ("jordan3", ((0, 3),)),
+        "t^3-2t^2": ("mixed", ((0, 2), (2, 1))),
+        "t^3+2t^2": ("mixed", ((-2, 1), (0, 2))),
+        "t^3+4t^2+8t+16": ("cubic_fixture", ()),
+        "t^3-2": (None, ()),
+        "t^3-t^2+t-1": (None, ((1, 1),)),
+        "t^4+1": (None, ()),
+        "t^4": (None, ((0, 4),)),
+    }
+    for text, (tag, roots) in cases.items():
+        assert fam.spectrum_family(up.from_string(text)) == (tag, roots), text
+    for coeffs in ((F(3, 2), 1, 1), (1, 0, 2), (1, F(1, 3)), ()):
+        with pytest.raises(DomainError):
+            fam.spectrum_family(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import time
 from fractions import Fraction
+from math import isqrt
 from random import Random
 
 import pytest
 
+from latclass import exactnum as xn
 from latclass import quadform as qf
 from latclass.errors import DomainError
 from latclass.quadform import QuadForm
@@ -151,10 +154,33 @@ def test_fundamental_units():
     assert qf.fundamental_unit(5) == ((0, 1), -1)
     # delta = 13: (3+sqrt 13)/2 = 1 + omega
     assert qf.fundamental_unit(13) == ((1, 1), -1)
-    for delta in (5, 13, 17, 21, 29):
+    for delta in range(5, 240, 4):
+        if xn.squarefree_split(delta)[1] != 1:
+            continue
         (c0, c1), nrm = qf.fundamental_unit(delta)
         alg, omega = qf.quad_algebra(delta)
         assert alg.norm(alg.element([c0, c1])) == nrm
+        assert ((c0, c1), nrm) == _least_half_integer_unit(delta)
+    # units of 10^8 and more, which a search linear in their size cannot reach
+    start = time.process_time()
+    assert qf.fundamental_unit(241) == ((66436843, 9148450), -1)
+    assert qf.fundamental_unit(337) == ((960491695, 110671282), -1)
+    assert qf.fundamental_unit(393) == ((44094699, 4684888), 1)
+    assert time.process_time() - start < 0.5
+
+
+def _least_half_integer_unit(delta):
+    """Reference for delta = 1 mod 4: the least q >= 1 with
+    p^2 - delta*q^2 = +-4 gives the fundamental unit (p + q sqrt(delta))/2,
+    returned in the basis (1, omega) with its norm."""
+    q = 1
+    while True:
+        for nrm in (-1, 1):
+            p2 = delta * q * q + 4 * nrm
+            if qf.is_square(p2):
+                p = isqrt(p2)
+                return ((p - q) // 2, q), nrm
+        q += 1
 
 
 def test_unit_in_order():
@@ -192,14 +218,14 @@ def test_gauss_form_rebuild_formula():
         count += 1
         m = ((a, b), (c, d))
         lat = qf.matrix_lattice(m)
-        alg, omega = qf.quad_algebra(qf.squarefree_split(four_d)[0])
+        alg, omega = qf.quad_algebra(xn.squarefree_split(four_d)[0])
         lam0, lam1 = qf._lambda_in_omega(a + d, four_d)
         alpha = alg.element([c, 0])
         beta = alg.element([lam0 - a, lam1])
 
         def conj(x):
             # conjugation: fixes 1, sends omega to trace(omega) - omega
-            tr = -qf.omega_poly(qf.squarefree_split(four_d)[0])[1]
+            tr = -qf.omega_poly(xn.squarefree_split(four_d)[0])[1]
             return alg.element([x[0] + tr * x[1], -x[1]])
 
         lam_f_basis = [(1, 0), (lam0, lam1)]
