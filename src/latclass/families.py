@@ -66,6 +66,7 @@ def spectrum_family(f) -> Spectrum:
     The tag is one of ``linear``, ``quadratic`` (irreducible of degree 2),
     ``split2``, ``jordan2``, ``split3``, ``jordan3``, ``mixed`` (a double and
     a single root), ``cubic_fixture`` (CUBIC_POLY) or None for any other f.
+    Raises DomainError unless f is monic with integer coefficients.
     """
     f = up.poly(f)
     if not up.is_monic(f) or any(c.denominator != 1 for c in f):
