@@ -9,6 +9,9 @@ from latclass.cli import main
 # exit code and the --json output the program gave before its family dispatch
 # was gathered into families.spectrum_family.
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+# The exact stdout of `tables` for each fixture, with and without --json.
+TABLES_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "tables_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -161,6 +164,15 @@ def test_tables(capsys):
     code, data = run_json(capsys, "tables", "--fixture", "split202m2")
     assert code == 0
     assert len(data["products"].splitlines()) == 11
+
+
+@pytest.mark.parametrize("fixture", sorted(TABLES_GOLDEN))
+def test_tables_golden_output(capsys, fixture):
+    for mode, want in sorted(TABLES_GOLDEN[fixture].items()):
+        flags = ["--json"] if mode == "json" else []
+        code, out = run(capsys, *flags, "tables", "--fixture", fixture)
+        assert code == 0
+        assert out == want, mode
 
 
 def test_usage_errors_exit_1(capsys):
