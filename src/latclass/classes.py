@@ -243,20 +243,30 @@ def principal_unit_witness(transporter: FullLattice, source: FullLattice,
     """Search the transporter for a unit u with u*source == target.
 
     Sound but incomplete: candidates are short integer combinations of the
-    transporter's canonical generators with coefficients in [-bound, bound].
+    transporter's canonical generators with coefficients in [-bound, bound],
+    tried by increasing coefficient sum.  u*source == target forces
+    |N(u)| = |det target / det source|, so only candidates of that norm are
+    compared: with k*mult_matrix(g_j) = M_j integral, that is
+    |det(sum c_j M_j)| == k^n * |det target / det source|.
     """
     alg = transporter.algebra
     gens = transporter.generators()
     n = len(gens)
+    mults = [alg.mult_matrix(g) for g in gens]
+    k = xn.denominator_lcm([x for m in mults for x in m])
+    norm = abs(xn.det(target.basis) / xn.det(source.basis)) * k**alg.dim
+    if norm.denominator != 1:
+        return None
+    mults = [[[int(x * k) for x in row] for row in m] for m in mults]
     combos = sorted(iproduct(range(-bound, bound + 1), repeat=n),
                     key=lambda c: (sum(abs(x) for x in c), c))
     for coeffs in combos:
-        if all(c == 0 for c in coeffs):
+        m = [[sum(c * mj[r][s] for c, mj in zip(coeffs, mults))
+              for s in range(alg.dim)] for r in range(alg.dim)]
+        if abs(xn.det(m)) != norm:
             continue
         u = tuple(sum(Fraction(c) * g[i] for c, g in zip(coeffs, gens))
                   for i in range(alg.dim))
-        if not alg.is_unit(u):
-            continue
         if source.scale(u) == target:
             return u
     return None

@@ -68,10 +68,15 @@ def _read_poly(text: str) -> up.Poly:
     return up.from_string(text)
 
 
-def _read_basis(text: str):
+def _read_basis(text: str, dim: int):
     data = json.loads(text)
     if isinstance(data, dict):
         data = data["basis"]
+    if not (isinstance(data, list) and len(data) == dim and all(
+            isinstance(row, list) and row and len(row) == len(data[0])
+            for row in data)):
+        raise UsageError(f"a basis must be a JSON array of {dim} non-empty "
+                         "rows of equal length")
     return tuple(tuple(Fraction(str(x)) for x in row) for row in data)
 
 
@@ -98,8 +103,7 @@ def _emit(payload: dict, as_json: bool):
 def _lattice_from_args(args) -> FullLattice:
     f = _read_poly(args.poly)
     alg, _ = cj.algebra_for_poly(f)
-    basis = _read_basis(args.basis)
-    return FullLattice(alg, xn.columns(basis))
+    return FullLattice(alg, xn.columns(_read_basis(args.basis, alg.dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -114,19 +118,17 @@ def cmd_classify(args) -> int:
         "charpoly_coeffs": [str(c) for c in cp],
         "regular": regular,
     }
-    if not regular:
-        _emit(out, args.json)
-        return EXIT_OK
-    lat = cj.matrix_to_lattice(m)
-    out["order_basis"] = _basis_json(lat.order().basis)
-    out["lattice_basis"] = _basis_json(lat.basis)
-    out["invertible"] = lat.is_invertible()
-    family_info = FAMILY_INFO.get(fam.spectrum_family(cp).tag)
-    if family_info is not None:
-        out.update(family_info(m))
+    if regular:
+        lat = cj.matrix_to_lattice(m)
+        out["order_basis"] = _basis_json(lat.order().basis)
+        out["lattice_basis"] = _basis_json(lat.basis)
+        out["invertible"] = lat.is_invertible()
+        family_info = FAMILY_INFO.get(fam.spectrum_family(cp).tag)
+        if family_info is not None:
+            out.update(family_info(m))
     if args.same_class is not None:
-        other = _read_matrix(args.same_class)
-        verdict = cj.same_class(m, other)
+        # same_class raises DomainError for a non-regular pair
+        verdict = cj.same_class(m, _read_matrix(args.same_class))
         out["same_class"] = "undecided" if verdict is None else verdict
         _emit(out, args.json)
         return EXIT_UNDECIDED if verdict is None else EXIT_OK
@@ -292,9 +294,8 @@ def cmd_lattice(args) -> int:
     if args.op in ("product", "colon", "sum", "intersect"):
         if args.basis2 is None:
             raise UsageError(f"--basis2 is required for op {args.op}")
-        f = _read_poly(args.poly)
-        alg, _ = cj.algebra_for_poly(f)
-        other = FullLattice(alg, xn.columns(_read_basis(args.basis2)))
+        alg = lat.algebra
+        other = FullLattice(alg, xn.columns(_read_basis(args.basis2, alg.dim)))
         result = {"product": lambda: lat * other,
                   "colon": lambda: lat.colon(other),
                   "sum": lambda: lat + other,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib.resources import files
 from itertools import product as iproduct
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from . import classes as cl
@@ -24,7 +24,7 @@ from . import exactnum as xn
 from . import poly as up
 from .algebra import Algebra, flat3_algebra, mixed_algebra, split_algebra
 from .conjugacy import algebra_for_poly, matrix_for, matrix_to_lattice
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .exactnum import gcd_q
 from .lattice import FullLattice, span
 
@@ -757,41 +757,42 @@ def cubic_fixture() -> CubicFixture:
 
 
 def orders_between(small: FullLattice, big: FullLattice) -> list[FullLattice]:
-    """All orders M with small <= M <= big, by subgroup enumeration."""
+    """All orders M with small <= M <= big, by subgroup enumeration.
+
+    Let u*T*v = diag(e) be the Smith form of T = big^-1 * small.  In the
+    coordinates y = u*x of big, small is diag(e)*Z^n, and every lattice in
+    between has an upper-triangular HNF basis H with h_ii | e_i and the
+    entries right of the diagonal in [0, h_ii); it is spanned by the columns
+    of big.basis * u^-1 * H.  The orders come out in the order of their H:
+    diagonals lexicographically, then the entries right of them.  Raises
+    ResourceError before building any lattice when there are more than
+    classes.QUOTIENT_CAP such H.
+    """
     if not big.contains_lattice(small):
         raise DomainError("orders_between: containment fails")
     n = big.algebra.dim
     t = xn.mat_int(xn.mat_mul(xn.rmat_inv(big.basis), small.basis))
-    _, s, _ = xn.snf(t)
-    exps = [s[i][i] for i in range(n)]
-    total = 1
-    for e in exps:
-        total *= e
+    u, s, _ = xn.snf(t)
+    diags = [xn.divisors(s[i][i]) for i in range(n)]
+    count = prod(sum(d ** (n - 1 - i) for d in ds) for i, ds in enumerate(diags))
+    if count > cl.QUOTIENT_CAP:
+        raise ResourceError(f"orders_between: {count} candidate lattices, "
+                            f"above the cap of {cl.QUOTIENT_CAP}")
+    to_big = xn.mat_mul(big.basis, xn.unimodular_inverse(u))
     out = []
-    # enumerate upper-triangular integer HNF matrices H with det | total
-    def rec(i, diag):
-        if i == n:
-            offdiag_ranges = []
-            pos = []
+    for diag in iproduct(*diags):
+        for offs in iproduct(*(range(diag[r]) for r in range(n)
+                               for _ in range(r + 1, n))):
+            h = [[0] * n for _ in range(n)]
+            rest = iter(offs)
             for r in range(n):
+                h[r][r] = diag[r]
                 for c in range(r + 1, n):
-                    pos.append((r, c))
-                    offdiag_ranges.append(range(diag[r]))
-            for offs in iproduct(*offdiag_ranges):
-                h = [[0] * n for _ in range(n)]
-                for r in range(n):
-                    h[r][r] = diag[r]
-                for (r, c), v in zip(pos, offs):
-                    h[r][c] = v
-                cols = xn.columns(xn.mat_mul(big.basis, xn.mat_fractions(h)))
-                m = FullLattice(big.algebra, cols)
-                if m.contains_lattice(small) and big.contains_lattice(m) \
-                        and m.is_order() and m not in out:
-                    out.append(m)
-            return
-        for d in xn.divisors(total):
-            rec(i + 1, diag + [d])
-    rec(0, [])
+                    h[r][c] = next(rest)
+            m = FullLattice(big.algebra, xn.columns(xn.mat_mul(to_big, h)))
+            if m.contains_lattice(small) and big.contains_lattice(m) \
+                    and m.is_order() and m not in out:
+                out.append(m)
     return out
 
 

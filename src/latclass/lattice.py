@@ -12,7 +12,10 @@ from math import lcm
 
 from . import exactnum as xn
 from .algebra import Algebra, MultMetric, canonical_metric
-from .errors import DomainError, RankError
+from .errors import DomainError, RankError, ResourceError
+
+# the largest exponent FullLattice.power takes while the powers still grow
+POWER_CAP = 64
 
 
 class FullLattice:
@@ -117,11 +120,25 @@ class FullLattice:
         return self.scale(other)
 
     def power(self, k: int) -> "FullLattice":
+        """L^k for k >= 1.
+
+        Multiplies by L until the k-th power, or until L^(j+1) == L^j: every
+        later power is then the same.  When L holds 1 and lies in an order,
+        the powers grow to an order (see dedekind_chain).  Raises
+        ResourceError when k > POWER_CAP (64) and L^1, ..., L^64 have not
+        stabilized.
+        """
         if k < 1:
             raise DomainError("power: exponent must be >= 1")
         out = self
-        for _ in range(k - 1):
-            out = out * self
+        for _ in range(min(k, POWER_CAP) - 1):
+            nxt = out * self
+            if nxt == out:
+                return out
+            out = nxt
+        if k > POWER_CAP:
+            raise ResourceError(f"power: L^{POWER_CAP} has not stabilized and "
+                                f"the exponent {k} is above the cap of {POWER_CAP}")
         return out
 
     def __pow__(self, k: int) -> "FullLattice":

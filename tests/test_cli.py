@@ -187,10 +187,21 @@ def test_usage_errors_exit_1(capsys):
                  "--same-class", "[[1,0],[0]]"]) == 1
     assert main(["enumerate", "--poly", "t/2"]) == 1
     assert main(["enumerate", "--poly", "3t/4+1"]) == 1
+    for bad in ("[[1,2],[3]]", "[]", "[[]]", "[[],[]]", "[1,2]", '{"basis": 5}',
+                "[[1,0,0],[0,1,0],[0,0,1]]", "[[1,0]]"):
+        assert main(["lattice", "--op", "order", "--poly", "t^2+5",
+                     "--basis", bad]) == 1, bad
+        assert main(["lattice", "--op", "sum", "--poly", "t^2+5",
+                     "--basis", "[[1,0],[0,1]]", "--basis2", bad]) == 1, bad
 
 
 def test_domain_error_exit_2(capsys):
     assert main(["quadform", "enumerate", "-r", "1", "-s", "-2"]) == 2
+    # a non-regular matrix has no class to compare
+    assert main(["--json", "classify", "--matrix", "[[0,0],[0,0]]",
+                 "--same-class", "[[5,1],[2,7]]"]) == 2
+    assert main(["classify", "--matrix", "[[3,0],[0,3]]",
+                 "--same-class", "[[3,0],[0,3]]"]) == 2
     # not monic integer polynomials
     assert main(["enumerate", "--poly", "t^2+t+3/2"]) == 2
     assert main(["enumerate", "--poly", "2t^2+1"]) == 2
@@ -223,6 +234,23 @@ def test_enumerate_jordan2_and_mixed_families(capsys):
     assert code == 0
     assert data["infinite"] is True
     assert data["classes"]
+
+
+def test_lattice_power_stabilizes(capsys):
+    # L3 contains 1: L3^2 = Lambda_1 is an order, and every later power equals it
+    code, data = run_json(capsys, "lattice", "--op", "power", "--k", "100000000",
+                          "--poly", "[2,2,2,1]",
+                          "--basis", "[[1,0,0],[0,1,0],[0,0,2]]")
+    assert code == 0
+    assert data["basis"] == [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    # 2*L3 lacks 1: its powers grow without end, so a large exponent is refused
+    assert main(["lattice", "--op", "power", "--k", "100000000", "--poly",
+                 "[2,2,2,1]", "--basis", "[[2,0,0],[0,2,0],[0,0,4]]"]) == 2
+    code, data = run_json(capsys, "lattice", "--op", "power", "--k", "3",
+                          "--poly", "[2,2,2,1]",
+                          "--basis", "[[2,0,0],[0,2,0],[0,0,4]]")
+    assert code == 0
+    assert data["basis"] == [["8", "0", "0"], ["0", "8", "0"], ["0", "0", "8"]]
 
 
 def test_lattice_dual_cli(capsys):

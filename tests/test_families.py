@@ -1,13 +1,17 @@
 from fractions import Fraction
+from itertools import product as iproduct
+from math import prod
 from random import Random
 
 import pytest
 
 from latclass import classes as cl
+from latclass import exactnum as xn
 from latclass import families as fam
 from latclass import poly as up
-from latclass.errors import DomainError
-from latclass.lattice import span
+from latclass.conjugacy import algebra_for_poly
+from latclass.errors import DomainError, ResourceError
+from latclass.lattice import FullLattice, span
 
 F = Fraction
 H = Fraction(1, 2)
@@ -488,3 +492,96 @@ def test_split3_normalize_boundary_alias():
     assert len(triples) == len(set(triples))
     for rec in classes:
         assert fam.split3_normalize(rec["lattice"]) == tuple(rec["triple"])
+
+
+# ---------------------------------------------------------------------------
+# the two searches of the fixture tables against brute-force oracles
+
+def _orders_between_oracle(small, big):
+    """Every order between small and big, from every upper-triangular HNF
+    in big's coordinates whose diagonal entries divide [big:small].  A
+    candidate whose index det H does not divide [big:small] cannot contain
+    small; it is skipped before its lattice is built."""
+    n = big.algebra.dim
+    total = abs(int(xn.det(xn.mat_mul(xn.rmat_inv(big.basis), small.basis))))
+    pos = [(r, c) for r in range(n) for c in range(r + 1, n)]
+    out = []
+    for diag in iproduct(xn.divisors(total), repeat=n):
+        if total % prod(diag):
+            continue
+        for offs in iproduct(*(range(diag[r]) for r, _ in pos)):
+            h = [[diag[r] if r == c else 0 for c in range(n)] for r in range(n)]
+            for (r, c), v in zip(pos, offs):
+                h[r][c] = v
+            m = FullLattice(big.algebra, xn.columns(xn.mat_mul(big.basis, h)))
+            if m.contains_lattice(small) and big.contains_lattice(m) \
+                    and m.is_order() and m not in out:
+                out.append(m)
+    return out
+
+
+def _unit_witness_oracle(transporter, source, target, bound=3):
+    """The first unit u, by increasing coefficient sum, of the short
+    combinations of the transporter's generators with u*source == target."""
+    alg = transporter.algebra
+    gens = transporter.generators()
+    combos = sorted(iproduct(range(-bound, bound + 1), repeat=len(gens)),
+                    key=lambda c: (sum(abs(x) for x in c), c))
+    for coeffs in combos:
+        if all(c == 0 for c in coeffs):
+            continue
+        u = tuple(sum(Fraction(c) * g[i] for c, g in zip(coeffs, gens))
+                  for i in range(alg.dim))
+        if alg.is_unit(u) and source.scale(u) == target:
+            return u
+    return None
+
+
+def test_orders_between_matches_oracle():
+    fx = fam.cubic_fixture()
+    quad, _ = algebra_for_poly(up.from_string("t^2+5"))
+    pairs = [
+        (fx.orders["L4"], fx.orders["L1"]),
+        (span(quad, [(1, 0), (0, 2)]), span(quad, [(1, 0), (0, 1)])),
+        (fam.split3_order_lattice(fam.SplitOrderParams(8, 2, -2)),
+         fam.split3_order_lattice(fam.SplitOrderParams(1, 1, 0))),
+    ]
+    for (small, big), count in zip(pairs, (4, 2, 8)):
+        found = fam.orders_between(small, big)
+        assert len(found) == len(set(found)) == count
+        assert set(found) == set(_orders_between_oracle(small, big))
+    assert fam.orders_between(*pairs[0]) == [
+        fx.orders[name] for name in ("L1", "L2", "L3", "L4")]
+
+
+def test_orders_between_budget():
+    big = fam.cubic_fixture().orders["L1"]
+    with pytest.raises(ResourceError):
+        fam.orders_between(big.scale(10**4), big)
+    with pytest.raises(DomainError):
+        fam.orders_between(big, big.scale(2))
+
+
+def test_unit_witness_matches_oracle():
+    # every (colon result, representative) pair the division table compares;
+    # the default bound on the pairs epsilon_equivalent_bounded searches
+    reps = fam.cubic_suite()["representatives"]
+    quotients = {reps[a].colon(reps[b]) for a in reps for b in reps}
+    pairs = sorted(((q, r) for q in quotients for r in reps.values()), key=repr)
+    searched = 0
+    for q, r in pairs:
+        t = r.colon(q)
+        assert cl.principal_unit_witness(t, q, r, 1) == \
+            _unit_witness_oracle(t, q, r, 1)
+        if q.order() == r.order() and cl.w_equivalent(q, r):
+            searched += 1
+            assert cl.principal_unit_witness(t, q, r) == \
+                _unit_witness_oracle(t, q, r)
+    assert (len(pairs), searched) == (78, 15)
+    # no element of the transporter has the norm 1/2 that u*source == target needs
+    quad, _ = algebra_for_poly(up.from_string("t^2+5"))
+    source = span(quad, [(1, 0), (0, 1)])
+    target = span(quad, [(1, 0), (0, H)])
+    t = target.colon(source)
+    assert cl.principal_unit_witness(t, source, target) is None
+    assert _unit_witness_oracle(t, source, target) is None
