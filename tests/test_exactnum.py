@@ -84,6 +84,84 @@ def test_gcd_q_matches_small_oracle():
 
 
 # ---------------------------------------------------------------------------
+# rational elimination: rmat_inv, solve, nullspace, column_space_basis
+
+def _minor_rank(a) -> int:
+    """Rank of a rational matrix: the largest k with a nonzero k x k minor
+    (determinants by Bareiss, independent of Gauss-Jordan)."""
+    from itertools import combinations
+
+    rows, cols = len(a), len(a[0])
+    for k in range(min(rows, cols), 0, -1):
+        for rs in combinations(range(rows), k):
+            for cs in combinations(range(cols), k):
+                if xn.det([[a[r][c] for c in cs] for r in rs]) != 0:
+                    return k
+    return 0
+
+
+def _random_rational_matrix(rng, rows, cols):
+    """Entries p/q with small p, q; about a third of the matrices are products
+    through a narrower middle, so singular and rank-deficient cases occur."""
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    if rng.random() < 1 / 3 and min(rows, cols) > 1:
+        k = rng.randint(1, min(rows, cols) - 1)
+        left = [[entry() for _ in range(k)] for _ in range(rows)]
+        right = [[entry() for _ in range(cols)] for _ in range(k)]
+        return xn.mat_mul(left, right)
+    return tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
+
+
+def test_elimination_cross_check():
+    rng = Random(11)
+    singular = deficient = inconsistent = 0
+    for _ in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        a = _random_rational_matrix(rng, rows, cols)
+        rank = _minor_rank(a)
+        b = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rows))
+        # rmat_inv and solve on square input
+        if rows == cols:
+            if xn.det(a) == 0:
+                singular += 1
+                with pytest.raises(RankError):
+                    xn.rmat_inv(a)
+                assert xn.solve(a, b) is None
+            else:
+                inv = xn.rmat_inv(a)
+                assert xn.mat_mul(inv, a) == xn.identity(rows, Fraction(1))
+                assert xn.solve(a, b) == xn.mat_vec(inv, b)
+        # solve on any shape: the unique solution, or None
+        sol = xn.solve(a, b)
+        consistent = _minor_rank([row + (x,) for row, x in zip(a, b)]) == rank
+        if rank < cols:
+            deficient += 1
+            assert sol is None
+        elif not consistent:
+            inconsistent += 1
+            assert sol is None
+        else:
+            assert xn.mat_vec(a, sol) == b
+        # nullspace: kernel vectors, cols - rank of them, independent
+        kernel = xn.nullspace(a)
+        assert len(kernel) == cols - rank
+        for v in kernel:
+            assert all(x == 0 for x in xn.mat_vec(a, v))
+        if kernel:
+            assert _minor_rank(kernel) == len(kernel)
+        # column_space_basis: the greedy choice of independent columns
+        greedy = []
+        for c in xn.columns(a):
+            if _minor_rank(xn.from_columns(greedy + [c])) > len(greedy):
+                greedy.append(c)
+        assert xn.column_space_basis(a) == greedy
+        assert len(greedy) == rank
+    assert singular and deficient and inconsistent
+
+
+# ---------------------------------------------------------------------------
 # HNF
 
 def _hnf_span_oracle(cols_a, cols_b, box=5):

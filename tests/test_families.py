@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import product as iproduct
-from math import prod
+from math import gcd, prod
 from random import Random
 
 import pytest
@@ -312,6 +312,82 @@ def test_mixed_normalize_invariance():
         u = fam.MIXED.element((q1, q2, q3))
         assert fam.mixed_normalize(l.scale(u)) == t
         assert fam.mixed_normalize(fam.mixed_lattice_of_triple(*t)) == t
+
+
+def _a_line_content_oracle(l):
+    """Content of the intersection with the radical line Q a."""
+    b = l.basis
+    kernel = xn.nullspace((b[0], b[1]))
+    assert len(kernel) == 1
+    c = kernel[0]
+    den = xn.denominator_lcm([c])
+    ints = [int(x * den) for x in c]
+    g = gcd(*ints)
+    val = sum(Fraction(x // g) * b[2][i] for i, x in enumerate(ints))
+    return abs(val)
+
+
+def _integer_preimage_oracle(p_rows, target):
+    """An integer solution c of P c = target, read off the Smith form of P."""
+    den = xn.denominator_lcm([*p_rows, target])
+    pm = [[int(Fraction(x) * den) for x in row] for row in p_rows]
+    tv = [int(Fraction(x) * den) for x in target]
+    u, s, v = xn.snf(pm)
+    ut = xn.mat_vec(u, tv)
+    y = [Fraction(0)] * len(pm[0])
+    for i in range(min(len(pm), len(pm[0]))):
+        if s[i][i]:
+            y[i] = Fraction(ut[i], s[i][i])
+        else:
+            assert ut[i] == 0
+    c = xn.mat_vec(xn.mat_fractions(v), y)
+    assert all(x.denominator == 1 for x in c)
+    return tuple(int(x) for x in c)
+
+
+def _mixed_shaped_triple_oracle(l):
+    """(d1, d2, d3) of a basis (d2*a, e1 + d3*a, d1*e1 + e2) by unit scalings:
+    normalise the projection to (e1, e2), kill the a-part of the vector over
+    (d1, 1), then read d2 off the radical line and d3 off the vector over
+    (1, 0)."""
+    alg = l.algebra
+    b = l.basis
+    d = xn.denominator_lcm(b[:2])
+    pr = xn.hnf([[int(x * d) for x in row] for row in b[:2]])
+    p11, p12, p22 = Fraction(pr[0][0], d), Fraction(pr[0][1], d), Fraction(pr[1][1], d)
+    l2 = l.scale(alg.element((1 / p11, 1 / p22, 0)))
+    d1 = (p12 / p11) % 1
+    b2 = l2.basis
+    c = _integer_preimage_oracle((b2[0], b2[1]), (d1, 1))
+    v3 = xn.mat_vec(b2, xn.mat_fractions((c,))[0])
+    l3 = l2.scale(alg.element((1, 1, -v3[2])))
+    d2 = _a_line_content_oracle(l3)
+    b3 = l3.basis
+    c = _integer_preimage_oracle((b3[0], b3[1]), (1, 0))
+    v2 = xn.mat_vec(b3, xn.mat_fractions((c,))[0])
+    return d1, d2, v2[2] % d2
+
+
+def _mixed_normalize_oracle(l):
+    cands = set()
+    for signs in ((1, 1, 0), (1, -1, 0)):
+        d1, d2, d3 = _mixed_shaped_triple_oracle(l.scale(fam.MIXED.element(signs)))
+        for shifted in (d3, d3 - d2):
+            if fam._mixed_normal_window(d1, d2, shifted):
+                cands.add((d1, d2, shifted))
+    return min(cands)
+
+
+def test_mixed_normalize_matches_oracle():
+    rng = Random(64)
+    from _helpers import random_lattice
+    for _ in range(300):
+        l = random_lattice(rng, fam.MIXED)
+        signs = fam.MIXED.element((rng.choice((1, -1)) * rng.randint(1, 3),
+                                   rng.choice((1, -1)) * rng.randint(1, 3), 0))
+        l = l.scale(signs)
+        assert fam._mixed_shaped_triple(l) == _mixed_shaped_triple_oracle(l)
+        assert fam.mixed_normalize(l) == _mixed_normalize_oracle(l)
 
 
 def test_mixed_invertibility_criterion():
