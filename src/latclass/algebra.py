@@ -30,6 +30,7 @@ class Algebra:
         self.family = family
         self.defining_poly = defining_poly
         self.generator = tuple(Fraction(x) for x in generator) if generator else None
+        self._metric = None   # the canonical metric, built on first use
         if validate:
             self.validate()
 
@@ -101,10 +102,8 @@ class Algebra:
         return xn.det(self.mult_matrix(x)) != 0
 
     def inv(self, x) -> Element | None:
-        m = self.mult_matrix(x)
-        if xn.det(m) == 0:
-            return None
-        return xn.rmat_solve(m, self.unit)
+        """x^-1, or None when x is a zero divisor."""
+        return xn.solve(self.mult_matrix(x), self.unit)
 
     def norm(self, x) -> Fraction:
         return xn.det(self.mult_matrix(x))
@@ -249,17 +248,20 @@ class MultMetric:
 
 def canonical_metric(alg: Algebra) -> MultMetric:
     """Gram matrix G_ij = l(g^{i+j}) where l vanishes on 1, g, ..., g^{n-2}
-    and takes value 1 on g^{n-1}; requires a cyclic power-basis presentation."""
+    and takes value 1 on g^{n-1}; requires a cyclic power-basis presentation.
+    Built once per algebra and kept on it."""
     if alg.family != "cyclic" or alg.defining_poly is None:
         raise UnsupportedError("canonical_metric: algebra is not in cyclic presentation")
-    n = alg.dim
-    f = alg.defining_poly
-    lvals = []
-    for m in range(2 * n - 1):
-        r = up.mod(up.shift(up.constant(1), m), f)
-        lvals.append(r[n - 1] if len(r) >= n else Fraction(0))
-    gram = tuple(tuple(lvals[i + j] for j in range(n)) for i in range(n))
-    return MultMetric(alg, gram)
+    if alg._metric is None:
+        n = alg.dim
+        f = alg.defining_poly
+        lvals = []
+        for m in range(2 * n - 1):
+            r = up.mod(up.shift(up.constant(1), m), f)
+            lvals.append(r[n - 1] if len(r) >= n else Fraction(0))
+        gram = tuple(tuple(lvals[i + j] for j in range(n)) for i in range(n))
+        alg._metric = MultMetric(alg, gram)
+    return alg._metric
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import gcd
+from math import gcd, prod
 
 from . import exactnum as xn
 from .algebra import Decomposition
@@ -50,10 +50,7 @@ class FiniteQuotient:
 
     @property
     def size(self) -> int:
-        n = 1
-        for d in self.diagonal:
-            n *= d
-        return n
+        return prod(self.diagonal)
 
 
 def finite_quotient(order: FullLattice, ideal: FullLattice,
@@ -61,13 +58,11 @@ def finite_quotient(order: FullLattice, ideal: FullLattice,
     """Coset representatives of order/ideal via the Smith normal form box."""
     if not order.contains_lattice(ideal):
         raise DomainError("finite_quotient: ideal is not contained in the order")
-    m = xn.mat_int(xn.mat_mul(xn.rmat_inv(order.basis), ideal.basis))
+    m = xn.mat_int(order.in_basis(ideal.basis))
     u, s, _ = xn.snf(m)
     n = order.algebra.dim
     diag = tuple(s[i][i] for i in range(n))
-    size = 1
-    for d in diag:
-        size *= d
+    size = prod(diag)
     if size > cap:
         raise ResourceError(f"quotient has {size} cosets, above the cap of {cap}")
     uinv = xn.unimodular_inverse(u)
@@ -143,9 +138,7 @@ def faddeev_tau(order: FullLattice) -> TauData:
     one, w1, w2 = _unit_first_basis(order)
 
     def in_basis(x) -> tuple:
-        rows = [[one[i], w1[i], w2[i]] for i in range(3)]
-        sol = xn.rmat_solve(rows, x)
-        return sol
+        return xn.solve([[one[i], w1[i], w2[i]] for i in range(3)], x)
 
     prod0 = in_basis(alg.mul(w1, w2))
     k1, k2 = prod0[1], prod0[2]
@@ -181,11 +174,7 @@ def project_lattice_matrix(dec: Decomposition, lat: FullLattice) -> xn.Mat:
         if sol is None:  # pragma: no cover - projection lands in F by construction
             raise DomainError("projection left the separable subspace")
         coords.append(sol)
-    d = xn.denominator_lcm(coords)
-    fdim = len(dec.separable_basis)
-    rows = [[int(c[i] * d) for c in coords] for i in range(fdim)]
-    h = xn.hnf(rows)
-    return tuple(tuple(Fraction(x, d) for x in row) for row in h)
+    return xn.rational_hnf(coords)
 
 
 def projection_check(order: FullLattice, dec: Decomposition,
@@ -204,7 +193,7 @@ def projection_check(order: FullLattice, dec: Decomposition,
                          for j, c in enumerate(coords)) for i in range(alg.dim))
 
     def in_projected(pm, coords) -> bool:
-        return all(x.denominator == 1 for x in xn.rmat_solve(pm, coords))
+        return all(x.denominator == 1 for x in xn.solve(pm, coords))
 
     po = project_lattice_matrix(dec, order)
     unit_f = xn.solve(fbasis_rows, dec.project(alg.unit))
@@ -230,10 +219,7 @@ def projection_check(order: FullLattice, dec: Decomposition,
         for x in xn.columns(project_lattice_matrix(dec, l1)):
             for y in xn.columns(project_lattice_matrix(dec, l2)):
                 cols.append(xn.solve(fbasis_rows, alg.mul(ambient(x), ambient(y))))
-        d = xn.denominator_lcm(cols)
-        rows = [[int(c[i] * d) for c in cols] for i in range(len(cols[0]))]
-        prod_proj = tuple(tuple(Fraction(x, d) for x in row) for row in xn.hnf(rows))
-        if p12 != prod_proj:
+        if p12 != xn.rational_hnf(cols):
             return False
     return True
 
@@ -283,29 +269,15 @@ def epsilon_equivalent_bounded(l1: FullLattice, l2: FullLattice,
         return True
     if l1.order() != l2.order():
         return False
-    # quick win: proportional bases
-    ratio = None
-    ok = True
-    for r1, r2 in zip(l1.basis, l2.basis):
-        for x, y in zip(r1, r2):
-            if x == 0 and y == 0:
-                continue
-            if x == 0 or y == 0:
-                ok = False
-                break
-            q = y / x
-            if ratio is None:
-                ratio = q
-            elif ratio != q:
-                ok = False
-                break
-        if not ok:
-            break
-    if ok and ratio is not None:
+    # quick win: proportional bases (the diagonals of both are positive)
+    q = l2.basis[0][0] / l1.basis[0][0]
+    if all(y == q * x for r1, r2 in zip(l1.basis, l2.basis) for x, y in zip(r1, r2)):
         return True
-    if not w_equivalent(l1, l2):
+    # the w-test of w_equivalent, keeping the transporter l2:l1 for the search
+    t21 = l2.colon(l1)
+    if l1.algebra.unit not in l1.colon(l2) * t21:
         return False
-    witness = principal_unit_witness(l2.colon(l1), l1, l2, bound)
+    witness = principal_unit_witness(t21, l1, l2, bound)
     if witness is not None:
         return True
     return None

@@ -91,10 +91,10 @@ def matrix_for(lat: FullLattice, x, basis=None) -> xn.Mat:
     """
     alg = lat.algebra
     b = xn.mat_fractions(basis) if basis is not None else lat.basis
-    if FullLattice.from_basis_matrix(alg, b) != lat:
+    if basis is not None and FullLattice.from_basis_matrix(alg, b) != lat:
         raise DomainError("matrix_for: given basis does not span the lattice")
-    mx = alg.mult_matrix(x)
-    out = xn.mat_mul(xn.rmat_inv(b), xn.mat_mul(mx, b))
+    xb = xn.mat_mul(alg.mult_matrix(x), b)
+    out = lat.in_basis(xb) if basis is None else xn.mat_mul(xn.rmat_inv(b), xb)
     if not xn.mat_is_integral(out):
         for g in xn.columns(b):
             if alg.mul(x, g) not in lat:

@@ -191,37 +191,16 @@ def det(a) -> Fraction:
     return Fraction(sign * m[n - 1][n - 1], d**n)
 
 
-def rmat_inv(a) -> Mat:
-    """Inverse of a square rational matrix by Gauss-Jordan elimination."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise RankError("rmat_inv: singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
-
-
-def rmat_solve(a, b) -> tuple:
-    """Solve a*x = b for a square nonsingular rational matrix."""
-    return mat_vec(rmat_inv(a), b)
-
-
-def nullspace(a) -> list[tuple]:
-    """Basis of the rational kernel of a (rows x cols)."""
-    rows, cols = len(a), len(a[0]) if a else 0
-    m = [[Fraction(x) for x in row] for row in a]
+def _rref(m: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination in place on the first ``ncols`` columns of the
+    rows m: the pivot rows move to the top, each pivot becomes 1 and is the
+    only nonzero entry of its column.  Returns the pivot columns."""
+    rows = len(m)
     pivots = []
     r = 0
-    for c in range(cols):
+    for c in range(ncols):
+        if r == rows:
+            break
         piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if piv is None:
             continue
@@ -234,11 +213,29 @@ def nullspace(a) -> list[tuple]:
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    return pivots
+
+
+def rmat_inv(a) -> Mat:
+    """Inverse of a square rational matrix: Gauss-Jordan on [a | I]."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+         for i, row in enumerate(a)]
+    if len(_rref(m, n)) < n:
+        raise RankError("rmat_inv: singular matrix")
+    return tuple(tuple(row[n:]) for row in m)
+
+
+def nullspace(a) -> list[tuple]:
+    """Basis of the rational kernel of a (rows x cols), one vector per free
+    column of the reduced row echelon form."""
+    cols = len(a[0]) if a else 0
+    m = [[Fraction(x) for x in row] for row in a]
+    pivots = _rref(m, cols)
     basis = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
@@ -249,51 +246,20 @@ def nullspace(a) -> list[tuple]:
 
 def solve(a, b):
     """The unique solution x of a*x = b, or None unless a has full column
-    rank and the system is consistent."""
-    rows, cols = len(a), len(a[0]) if a else 0
+    rank and the system is consistent: Gauss-Jordan on [a | b]."""
+    cols = len(a[0]) if a else 0
     m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    r = 0
-    piv_cols = []
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
-        m[r] = [x / p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-    if len(piv_cols) < cols:
+    if len(_rref(m, cols)) < cols or any(row[cols] != 0 for row in m[cols:]):
         return None
-    for i in range(r, rows):
-        if m[i][cols] != 0:
-            return None
-    sol = [Fraction(0)] * cols
-    for i, c in enumerate(piv_cols):
-        sol[c] = m[i][cols]
-    return tuple(sol)
+    return tuple(row[cols] for row in m[:cols])
 
 
 def column_space_basis(a) -> list[tuple]:
-    """A basis (subset of columns) of the rational column space of a."""
-    cols = columns(mat_fractions(a))
-    kept: list[tuple] = []
-    ref: list[list[Fraction]] = []
-    for c in cols:
-        v = [Fraction(x) for x in c]
-        for row in ref:
-            p = next(i for i, x in enumerate(row) if x != 0)
-            if v[p] != 0:
-                f = v[p] / row[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        if any(x != 0 for x in v):
-            ref.append(v)
-            kept.append(c)
-    return kept
+    """A basis of the rational column space of a: the pivot columns, i.e.
+    each column that is independent of the columns before it."""
+    fa = mat_fractions(a)
+    pivots = _rref([list(row) for row in fa], len(fa[0]) if fa else 0)
+    return [tuple(row[c] for row in fa) for c in pivots]
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +312,19 @@ def hnf(a) -> Mat:
                 for k in range(rows):
                     h[j][k] -= q * h[i][k]
     return tuple(tuple(h[j][i] for j in range(rows)) for i in range(rows))
+
+
+def rational_hnf(cols) -> Mat:
+    """Canonical basis of the full lattice spanned by rational columns: scale
+    by the least d > 0 that makes them integral, take the column HNF and
+    divide back by d."""
+    d = 1
+    for col in cols:
+        for x in col:
+            d = lcm(d, x.denominator)
+    h = hnf(tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                  for row in zip(*cols)))
+    return tuple(tuple(Fraction(x, d) for x in row) for row in h)
 
 
 def snf(a) -> tuple[Mat, Mat, Mat]:

@@ -178,16 +178,24 @@ def split3_tau(p: SplitOrderParams) -> cl.TauData:
     return cl.TauData(a, b, c, d, mu, t, 2**t, w1, w2)
 
 
-def split3_group_size(p: SplitOrderParams) -> int:
-    """|G([order])| from the conductor quotient units and the sign units."""
+def _split3_unit_row(p: SplitOrderParams) -> tuple[int, tuple, int, int, int]:
+    """(sign units, conductor diagonal, units_big, units_small, |G([order])|):
+    the unit counts of the conductor quotients of the maximal order and of
+    the order, each computed once."""
     (b1, b2, b3), cond = split3_conductor(p)
     order = split3_order_lattice(p)
+    signs = split_unit_size(order)
     units_small, _ = cl.quotient_units(cl.finite_quotient(order, cond))
     units_big = xn.euler_phi(b1) * xn.euler_phi(b2) * xn.euler_phi(b3)
-    size = Fraction(units_big, units_small) * Fraction(split_unit_size(order), 8)
+    size = Fraction(units_big, units_small) * Fraction(signs, 8)
     if size.denominator != 1:  # pragma: no cover - the size formula is integral
         raise AssertionError("group size formula did not give an integer")
-    return int(size)
+    return signs, (b1, b2, b3), units_big, units_small, int(size)
+
+
+def split3_group_size(p: SplitOrderParams) -> int:
+    """|G([order])| from the conductor quotient units and the sign units."""
+    return _split3_unit_row(p)[-1]
 
 
 def _unipotent_triple3(l: FullLattice) -> tuple[Fraction, Fraction, Fraction]:
@@ -252,11 +260,9 @@ def split3_enumerate_classes(lams: tuple[int, int, int]) -> list[dict]:
                 d3 = Fraction(k, p.a1)
                 if not _split_normal_window(d1, d2, d3):
                     continue
-                if (p.a1 * d1).denominator != 1 or \
-                   ((p.a2 - p.a3) * d1).denominator != 1 or \
-                   (p.a1 * d3).denominator != 1 or \
-                   (p.a2 * d2).denominator != 1 or \
-                   (p.a3 * d3 - p.a2 * d1 * d2).denominator != 1:
+                # the denominators of d1, d2, d3 make a1*d1, (a2-a3)*d1,
+                # a2*d2 and a1*d3 integers; this stability condition remains
+                if (p.a3 * d3 - p.a2 * d1 * d2).denominator != 1:
                     continue
                 lat = split3_lattice_of_triple(d1, d2, d3)
                 if split3_normalize(lat) != (d1, d2, d3):
@@ -340,12 +346,14 @@ def jordan_algebra(n: int):
     return algebra_for_poly(up.poly([0] * n + [1]))
 
 
-def _reversed_hnf_basis(l: FullLattice) -> xn.Mat:
-    """Canonical basis in reversed coordinate order (a^{n-1}, ..., a, 1)."""
-    n = l.algebra.dim
-    rev_rows = tuple(l.basis[n - 1 - i] for i in range(n))
-    rev = FullLattice(l.algebra, xn.columns(rev_rows))
-    return rev.basis
+# coordinate order (a^2, a, 1) of the 3-dimensional jordan and flat algebras
+_REVERSED = (2, 1, 0)
+
+
+def _hnf_in_order(l: FullLattice, perm) -> xn.Mat:
+    """Canonical basis of l with the coordinates taken in the order perm:
+    row i of the result belongs to coordinate perm[i]."""
+    return xn.rational_hnf(xn.columns(tuple(l.basis[k] for k in perm)))
 
 
 def _require_jordan3(l: FullLattice):
@@ -356,7 +364,7 @@ def _require_jordan3(l: FullLattice):
 def jordan_delta(l: FullLattice) -> Fraction:
     """The positive rational b22^2/(b11*b33), constant on unit classes."""
     _require_jordan3(l)
-    h = _reversed_hnf_basis(l)   # coords (a^2, a, 1)
+    h = _hnf_in_order(l, _REVERSED)
     b33, b22, b11 = h[0][0], h[1][1], h[2][2]
     return b22 * b22 / (b11 * b33)
 
@@ -366,10 +374,10 @@ def jordan_normalize(l: FullLattice) -> tuple[Fraction, Fraction, Fraction]:
     and g32 in [0, gcd_q(g22^2, g33))."""
     _require_jordan3(l)
     alg = l.algebra
-    h = _reversed_hnf_basis(l)   # columns: (h00 a^2), (h01 a^2 + h11 a), (.., .., h22)
+    h = _hnf_in_order(l, _REVERSED)   # columns: (h00 a^2), (h01 a^2 + h11 a), (.., .., h22)
     v = alg.element((h[2][2], h[1][2], h[0][2]))   # the basis vector with 1-part
     scaled = l.scale(alg.inv(v))
-    hs = _reversed_hnf_basis(scaled)
+    hs = _hnf_in_order(scaled, _REVERSED)
     g33, g32, g22 = hs[0][0], hs[0][1], hs[1][1]
     if hs[2][2] != 1 or hs[1][2] != 0 or hs[0][2] != 0:  # pragma: no cover
         raise AssertionError("jordan normalization did not reach the shape")
@@ -476,67 +484,23 @@ def mixed_order_lattice(p: MixedOrderParams) -> FullLattice:
     return span(MIXED, [(0, 0, p.a2), (p.a1, 0, p.a3), (1, 1, 0)])
 
 
-def _a_line_content(l: FullLattice) -> Fraction:
-    """Content of the intersection with the radical line Q a (mixed algebra)."""
-    b = l.basis
-    kernel = xn.nullspace((b[0], b[1]))
-    if len(kernel) != 1:  # pragma: no cover - full lattices meet Qa in rank 1
-        raise AssertionError("radical line intersection is not rank 1")
-    c = kernel[0]
-    den = xn.denominator_lcm([c])
-    ints = [int(x * den) for x in c]
-    g = gcd(*ints)
-    prim = [x // g for x in ints]
-    val = sum(Fraction(ci) * b[2][i] for i, ci in enumerate(prim))
-    return abs(val)
-
-
-def _integer_preimage(p_rows, target):
-    """An integer solution c of P c = target (P integral, solvable)."""
-    den = xn.denominator_lcm([*p_rows, target])
-    pm = [[int(Fraction(x) * den) for x in row] for row in p_rows]
-    tv = [int(Fraction(x) * den) for x in target]
-    u, s, v = xn.snf(pm)
-    ut = xn.mat_vec(u, tv)
-    rows, cols = len(pm), len(pm[0])
-    y = [Fraction(0)] * cols
-    for i in range(min(rows, cols)):
-        if s[i][i]:
-            y[i] = Fraction(ut[i], s[i][i])
-        elif ut[i]:
-            raise DomainError("integer preimage does not exist")
-    for i in range(min(rows, cols), rows):
-        if ut[i]:
-            raise DomainError("integer preimage does not exist")
-    c = xn.mat_vec(xn.mat_fractions(v), y)
-    if any(x.denominator != 1 for x in c):
-        raise DomainError("preimage is not integral")
-    return tuple(int(x) for x in c)
+# coordinate order (a, e1, e2) of the mixed algebra
+_A_FIRST = (2, 0, 1)
 
 
 def _mixed_shaped_triple(l: FullLattice) -> tuple[Fraction, Fraction, Fraction]:
     """(d1, d2, d3) of a basis (d2*a, e1 + d3*a, d1*e1 + e2), d1 in [0,1),
-    d3 in [0, d2)."""
-    alg = l.algebra
-    b = l.basis
-    # project to F = (e1, e2): canonical 2x2 basis
-    d = xn.denominator_lcm(b[:2])
-    pr = xn.hnf([[int(x * d) for x in row] for row in b[:2]])
-    p11, p12, p22 = Fraction(pr[0][0], d), Fraction(pr[0][1], d), Fraction(pr[1][1], d)
-    u = alg.element((1 / p11, 1 / p22, 0))
-    l2 = l.scale(u)
-    d1 = (p12 / p11) % 1
-    # vector with projection (d1, 1): kill its a-component by a unit
-    b2 = l2.basis
-    c = _integer_preimage((b2[0], b2[1]), (d1, 1))
-    v3 = xn.mat_vec(b2, xn.mat_fractions((c,))[0])
-    l3 = l2.scale(alg.element((1, 1, -v3[2])))
-    d2 = _a_line_content(l3)
-    b3 = l3.basis
-    c = _integer_preimage((b3[0], b3[1]), (1, 0))
-    v2 = xn.mat_vec(b3, xn.mat_fractions((c,))[0])
-    d3 = v2[2] % d2
-    return d1, d2, d3
+    d3 in [0, d2).
+
+    With the coordinates in the order (a, e1, e2), scaling by the unit
+    (1/h11, 1/h22, 0) makes the canonical basis (d2*a, e1 + d3*a,
+    d1*e1 + e2 + c*a); the unit 1 - c*a kills that last a-part and leaves
+    the other two vectors alone, so the triple is read off directly.
+    """
+    h = _hnf_in_order(l, _A_FIRST)
+    hs = _hnf_in_order(l.scale(l.algebra.element((1 / h[1][1], 1 / h[2][2], 0))),
+                       _A_FIRST)
+    return hs[1][2], hs[0][0], hs[0][1]
 
 
 def _mixed_normal_window(d1, d2, d3) -> bool:
@@ -572,14 +536,7 @@ def mixed_lattice_of_triple(d1, d2, d3) -> FullLattice:
 def mixed_order_params(order: FullLattice) -> MixedOrderParams:
     if not order.is_order():
         raise DomainError("mixed_order_params: lattice is not an order")
-    d1, d2, d3 = mixed_normalize(order)
-    a2 = d2
-    den1 = d1.denominator
-    den3 = (d3 / d2).denominator
-    a1 = lcm(den1, den3)
-    a3 = (a1 * d1 * d3) % a2
-    # reduce a3 into (a2/a1)*[0, a1)
-    p = MixedOrderParams(a1, a2, a3)
+    p = mixed_order_of_triple(*mixed_normalize(order))
     if mixed_order_lattice(p) != order:  # pragma: no cover - classification
         raise AssertionError("mixed order normal form mismatch")
     return p
@@ -650,26 +607,33 @@ def mixed_matrix(d1, d2, d3, alpha: int) -> xn.Mat:
 
 def mixed_enumerate(alpha: int, max_n2: int = 8) -> list[dict]:
     """Unit classes of ideals of Z[alpha*e1 + a] with d2 = alpha/n2,
-    n2 <= max_n2 (the full set is infinite)."""
+    n2 <= max_n2 (the full set is infinite).
+
+    Candidates are d1 = i/alpha in [0, 1/2] and d3 = (j/alpha)*d2 with
+    j/alpha in (-1/2, 1/2], the normal-form window; raises ResourceError
+    before the search when there are more than classes.QUOTIENT_CAP of them.
+    """
     if alpha < 1:
         raise DomainError("mixed_enumerate: alpha must be a positive integer")
+    i_range = range(alpha // 2 + 1)
+    j_range = range(-((alpha - 1) // 2), alpha // 2 + 1)
+    count = max_n2 * len(i_range) * len(j_range)
+    if count > cl.QUOTIENT_CAP:
+        raise ResourceError(f"mixed_enumerate: {count} candidate triples, "
+                            f"above the cap of {cl.QUOTIENT_CAP}")
     out = []
     for n2 in range(1, max_n2 + 1):
         d2 = Fraction(alpha, n2)
-        for i in range(alpha + 1):
+        for i in i_range:
             d1 = Fraction(i, alpha)
-            if d1 > HALF:
-                continue
-            for j in range(-alpha, alpha + 1):
+            for j in j_range:
+                # stability under the cyclic order of alpha*e1 + a: alpha/d2,
+                # alpha*d1 and alpha*d3/d2 are n2, i and j; the entry
+                # 1/d2 - alpha*d1*d3/d2 = (n2 - i*j)/alpha must be an integer
+                if (n2 - i * j) % alpha:
+                    continue
                 d3 = Fraction(j, alpha) * d2
                 if not _mixed_normal_window(d1, d2, d3):
-                    continue
-                # stability congruences under the cyclic order of alpha*e1 + a
-                if (Fraction(alpha) / d2).denominator != 1:
-                    continue
-                if (alpha * d1).denominator != 1 or (alpha * d3 / d2).denominator != 1:
-                    continue
-                if (Fraction(1) / d2 - alpha * d1 * d3 / d2).denominator != 1:
                     continue
                 lat = mixed_lattice_of_triple(d1, d2, d3)
                 if mixed_normalize(lat) != (d1, d2, d3):
@@ -704,7 +668,7 @@ def flat3_epsilon_rep(l: FullLattice) -> FullLattice:
     """The unique order in the unit class of l (every class contains one)."""
     if l.algebra is not FLAT3:
         raise DomainError("flat3_epsilon_rep: lattice is not in the flat algebra")
-    h = _reversed_hnf_basis(l)
+    h = _hnf_in_order(l, _REVERSED)
     # the basis vector whose 1-part generates the projection to Q*1 is a unit
     v = FLAT3.element((h[2][2], h[1][2], h[0][2]))
     rep = l.scale(FLAT3.inv(v))
@@ -771,7 +735,7 @@ def orders_between(small: FullLattice, big: FullLattice) -> list[FullLattice]:
     if not big.contains_lattice(small):
         raise DomainError("orders_between: containment fails")
     n = big.algebra.dim
-    t = xn.mat_int(xn.mat_mul(xn.rmat_inv(big.basis), small.basis))
+    t = xn.mat_int(big.in_basis(small.basis))
     u, s, _ = xn.snf(t)
     diags = [xn.divisors(s[i][i]) for i in range(n)]
     count = prod(sum(d ** (n - 1 - i) for d in ds) for i, ds in enumerate(diags))
@@ -831,9 +795,8 @@ def cubic_suite() -> dict:
         nb, _ = cl.quotient_units(cl.finite_quotient(fx.orders["L1"], c))
         ns, _ = cl.quotient_units(cl.finite_quotient(fx.orders[name], c))
         quotients[name] = (nb, ns)
-        size = fx.class_number * cl.class_group_ratio(
-            fx.orders["L1"], fx.orders[name], indices[name])
-        group_sizes[name] = int(size)
+        # classes.class_group_ratio, from the counts just made
+        group_sizes[name] = int(fx.class_number * Fraction(nb, ns) / indices[name])
     reps = {"L1": fx.orders["L1"], "L2": fx.orders["L2"], "L3": fx.orders["L3"],
             "I3": fx.l3, "L4": fx.orders["L4"], "I4": fx.l4}
     matrices = {name: matrix_for(lat, fx.alpha) for name, lat in reps.items()}
@@ -957,14 +920,9 @@ def split202m2_tables() -> dict[str, str]:
                     (4, 1, 1), (4, 2, 2), (8, 2, -2)]
     lines = ["order\tunits\tbetas\tunits_big\tunits_small\tgroup_size"]
     for a1, a2, a3 in order_params:
-        p = SplitOrderParams(a1, a2, a3)
-        order = split3_order_lattice(p)
-        betas, cond = split3_conductor(p)
-        nb = xn.euler_phi(betas[0]) * xn.euler_phi(betas[1]) * xn.euler_phi(betas[2])
-        ns, _ = cl.quotient_units(cl.finite_quotient(order, cond))
-        lines.append("\t".join([f"O{a1}{a2}{a3}".replace("-", "m"),
-                                str(split_unit_size(order)), str(betas),
-                                str(nb), str(ns), str(split3_group_size(p))]))
+        row = _split3_unit_row(SplitOrderParams(a1, a2, a3))
+        lines.append("\t".join([f"O{a1}{a2}{a3}".replace("-", "m")] +
+                               [str(v) for v in row]))
     t42 = "\n".join(lines)
 
     lines = ["order\ta\tb\tc\td\tmu\tt\ttau"]

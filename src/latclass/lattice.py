@@ -1,14 +1,16 @@
 """Full lattices in a commutative Q-algebra and their semigroup operations.
 
 A lattice is stored by a unique canonical basis: scale by the minimal d > 0
-making the basis integral, take the column Hermite normal form, divide back.
-Equality of lattices is equality of canonical bases.
+making the basis integral, take the column Hermite normal form, divide back
+(exactnum.rational_hnf).  Equality of lattices is equality of canonical
+bases.  A lattice is immutable, so the inverse of its basis, which
+membership, containment, index and the stacked colon all need, is computed
+at most once per lattice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from . import exactnum as xn
 from .algebra import Algebra, MultMetric, canonical_metric
@@ -21,21 +23,15 @@ POWER_CAP = 64
 class FullLattice:
     """Rank-n Z-lattice spanning the algebra over Q, in canonical form."""
 
-    __slots__ = ("algebra", "basis", "_order", "_is_order", "_hash")
+    __slots__ = ("algebra", "basis", "_inv", "_order", "_is_order", "_hash")
 
     def __init__(self, algebra: Algebra, generators):
         gens = [tuple(Fraction(x) for x in g) for g in generators]
         if not gens or any(len(g) != algebra.dim for g in gens):
             raise DomainError("generators must be coefficient vectors of full length")
-        d = 1
-        for g in gens:
-            for x in g:
-                d = lcm(d, x.denominator)
-        int_cols = [[int(x * d) for x in g] for g in gens]
-        rows = tuple(tuple(col[i] for col in int_cols) for i in range(algebra.dim))
-        h = xn.hnf(rows)
         self.algebra = algebra
-        self.basis = tuple(tuple(Fraction(x, d) for x in row) for row in h)
+        self.basis = xn.rational_hnf(gens)
+        self._inv = None
         self._order = None
         self._is_order = None
         self._hash = None
@@ -65,8 +61,17 @@ class FullLattice:
             raise DomainError("lattices live in different algebras")
 
     # -- membership and containment -------------------------------------------
+    def _inverse(self) -> xn.Mat:
+        if self._inv is None:
+            self._inv = xn.rmat_inv(self.basis)
+        return self._inv
+
+    def in_basis(self, m) -> xn.Mat:
+        """basis^-1 * m: the coordinates of m's columns in the canonical basis."""
+        return xn.mat_mul(self._inverse(), m)
+
     def coords(self, x) -> tuple:
-        return xn.rmat_solve(self.basis, tuple(Fraction(c) for c in x))
+        return xn.mat_vec(self._inverse(), tuple(Fraction(c) for c in x))
 
     def contains(self, x) -> bool:
         return all(c.denominator == 1 for c in self.coords(x))
@@ -76,8 +81,7 @@ class FullLattice:
 
     def contains_lattice(self, other) -> bool:
         self._same_algebra(other)
-        inv = xn.rmat_inv(self.basis)
-        return xn.mat_is_integral(xn.mat_mul(inv, other.basis))
+        return xn.mat_is_integral(self.in_basis(other.basis))
 
     # -- scaling ---------------------------------------------------------------
     def scale(self, factor) -> "FullLattice":
@@ -157,11 +161,9 @@ class FullLattice:
         """Colon quotient via stacked integrality conditions and SNF."""
         self._same_algebra(other)
         n = self.algebra.dim
-        binv = xn.rmat_inv(self.basis)
         rows = []
         for g in other.generators():
-            block = xn.mat_mul(binv, self.algebra.mult_matrix(g))
-            rows.extend(block)
+            rows.extend(self.in_basis(self.algebra.mult_matrix(g)))
         d = xn.denominator_lcm(rows)
         dmat = [[int(Fraction(x) * d) for x in row] for row in rows]
         _, s, v = xn.snf(dmat)
@@ -216,14 +218,15 @@ class FullLattice:
 
 
 def _std_dual(l: FullLattice) -> FullLattice:
-    """Dual under the standard inner product (a pure Z-module operation)."""
-    return FullLattice.from_basis_matrix(l.algebra, xn.rmat_inv(xn.transpose(l.basis)))
+    """Dual under the standard inner product (a pure Z-module operation):
+    the columns of (basis^T)^-1, i.e. the rows of basis^-1."""
+    return FullLattice(l.algebra, l._inverse())
 
 
 def index(sup: FullLattice, sub: FullLattice) -> int:
     """[sup : sub] for nested full lattices."""
     sup._same_algebra(sub)
-    t = xn.mat_mul(xn.rmat_inv(sup.basis), sub.basis)
+    t = sup.in_basis(sub.basis)
     if not xn.mat_is_integral(t):
         raise DomainError("index: second lattice is not contained in the first")
     return abs(int(xn.det(t)))

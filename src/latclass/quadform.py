@@ -15,9 +15,9 @@ from typing import NamedTuple
 
 from . import exactnum as xn
 from . import poly as up
-from .classes import finite_quotient, quotient_units
+from .classes import QUOTIENT_CAP, finite_quotient, quotient_units
 from .conjugacy import algebra_for_poly
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .lattice import FullLattice
 
 
@@ -102,13 +102,22 @@ def legendre_reduce(m) -> xn.Mat:
 
 def enumerate_m(r: int, s: int, wide: bool = False) -> list[xn.Mat]:
     """The finite window M(r,s) of matrices with trace r and determinant s;
-    with ``wide`` the slightly larger window with a-d in [-|c|,|c|]."""
+    with ``wide`` the slightly larger window with a-d in [-|c|,|c|].
+
+    The window has |c| <= c_max, with 3c^2 <= -D for D < 0 and 4c^2 <= D for
+    D > 0 (D = r^2 - 4s); raises ResourceError before the search when it
+    has more than classes.QUOTIENT_CAP (c, a-d) pairs.
+    """
     four_d = r * r - 4 * s
     if is_square(four_d):
         raise DomainError("enumerate_m: characteristic polynomial is reducible")
+    c_max = isqrt(-four_d // 3) if four_d < 0 else isqrt(four_d // 4)
+    count = 2 * c_max * (c_max + 1 + wide)   # 2c (2c+1 wide) values of a-d per c
+    if count > QUOTIENT_CAP:
+        raise ResourceError(f"enumerate_m: {count} candidate matrices, "
+                            f"above the cap of {QUOTIENT_CAP}")
     out = []
-    c = 1
-    while (3 * c * c <= -four_d) if four_d < 0 else (4 * c * c <= four_d):
+    for c in range(1, c_max + 1):
         for cc in (c, -c):
             emin = -c if wide else -c + 1
             for e in range(emin, c + 1):
@@ -125,7 +134,6 @@ def enumerate_m(r: int, s: int, wide: bool = False) -> list[xn.Mat]:
                 a = (r + e) // 2
                 d = (r - e) // 2
                 out.append(((a, b), (cc, d)))
-        c += 1
     return sorted(out)
 
 

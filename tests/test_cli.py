@@ -205,6 +205,9 @@ def test_domain_error_exit_2(capsys):
     # not monic integer polynomials
     assert main(["enumerate", "--poly", "t^2+t+3/2"]) == 2
     assert main(["enumerate", "--poly", "2t^2+1"]) == 2
+    # searches above classes.QUOTIENT_CAP raise ResourceError before looping
+    assert main(["enumerate", "--poly", "t^3-2000t^2"]) == 2
+    assert main(["enumerate", "--poly", "t^2-2t+1000000000001"]) == 2
 
 
 def test_matrix_with_claimed_charpoly(capsys):

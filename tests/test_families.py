@@ -422,6 +422,11 @@ def test_mixed_enumerate_and_w_classification():
         from latclass.poly import charpoly
         cp = charpoly(rec["matrix"])
         assert cp == (F(0), F(0), F(-2), F(1))   # t^3 - 2 t^2 = t^2 (t-2)
+    # 4 * 1001 * 2000 candidate triples, and a limit of a million n2 values
+    with pytest.raises(ResourceError):
+        fam.mixed_enumerate(2000, max_n2=4)
+    with pytest.raises(ResourceError):
+        fam.mixed_enumerate(2, max_n2=10**6)
 
 
 def test_mixed_normal_form_of_matrix():

@@ -7,7 +7,7 @@ import pytest
 
 from latclass import exactnum as xn
 from latclass import quadform as qf
-from latclass.errors import DomainError
+from latclass.errors import DomainError, ResourceError
 from latclass.quadform import QuadForm
 
 
@@ -68,6 +68,8 @@ def test_enumerate_m_examples():
     assert wide_extra == {((-1, 3), (2, 1)), ((-1, -3), (-2, 1))}
     with pytest.raises(DomainError):
         qf.enumerate_m(1, -2)   # (t-2)(t+1): square discriminant
+    with pytest.raises(ResourceError):
+        qf.enumerate_m(0, 10**7)   # c up to 3651: 26.7 million candidates
 
 
 def test_river_period_t2_minus_7():
