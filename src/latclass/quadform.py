@@ -112,7 +112,8 @@ def enumerate_m(r: int, s: int, wide: bool = False) -> list[xn.Mat]:
     if is_square(four_d):
         raise DomainError("enumerate_m: characteristic polynomial is reducible")
     c_max = isqrt(-four_d // 3) if four_d < 0 else isqrt(four_d // 4)
-    count = 2 * c_max * (c_max + 1 + wide)   # 2c (2c+1 wide) values of a-d per c
+    # 2c values of a-d (2c+1 when wide) for each of cc = c and cc = -c
+    count = 2 * c_max * (c_max + 1 + wide)
     if count > QUOTIENT_CAP:
         raise ResourceError(f"enumerate_m: {count} candidate matrices, "
                             f"above the cap of {QUOTIENT_CAP}")
