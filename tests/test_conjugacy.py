@@ -16,6 +16,41 @@ def test_is_regular():
     assert cj.is_regular(((0, 4), (1, 0)))
 
 
+def _seeded_regularity_cases():
+    """Random integer matrices of dimension 1..5 and non-regular ones: scalar
+    matrices, diag(a, a, b) and block matrices with a repeated block, each
+    conjugated by a random unimodular matrix."""
+    rng = Random(91)
+    out = []
+    for n in range(1, 6):
+        for _ in range(12):
+            out.append(tuple(tuple(rng.randint(-3, 3) for _ in range(n))
+                             for _ in range(n)))
+    for _ in range(12):
+        a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+        c = rng.randint(-3, 3)
+        blk = ((a, c), (1, b))
+        shapes = [xn.add_scalar(xn.mat([[0] * 2] * 2), a),
+                  xn.mat([[a, 0, 0], [0, a, 0], [0, 0, b]]),
+                  xn.mat([[blk[0][0], blk[0][1], 0, 0], [blk[1][0], blk[1][1], 0, 0],
+                          [0, 0, blk[0][0], blk[0][1]], [0, 0, blk[1][0], blk[1][1]]]),
+                  xn.mat([[a, 1, 0, 0], [0, a, 0, 0], [0, 0, a, 0], [0, 0, 0, b]])]
+        for s in shapes:
+            u = cj.random_unimodular(len(s), rng)
+            out.append(xn.mat_mul(xn.mat_mul(xn.unimodular_inverse(u), s), u))
+    return out
+
+
+def test_is_regular_matches_char_min_poly():
+    regular = 0
+    cases = _seeded_regularity_cases()
+    for m in cases:
+        cp, mp = up.char_min_poly(m)
+        assert cj.is_regular(m) == (cp == mp), m
+        regular += cp == mp
+    assert 0 < regular < len(cases)
+
+
 def test_matrix_to_lattice_companion_gives_standard_order():
     f = up.poly([16, 8, 4, 1])
     comp = ((0, 0, -16), (1, 0, -8), (0, 1, -4))

@@ -129,3 +129,35 @@ def test_minpoly_annihilates():
             acc = [[x + c * y for x, y in zip(ra, rp)] for ra, rp in zip(acc, power_m)]
             power_m = xn.mat_mul(power_m, m)
         assert all(x == 0 for row in acc for x in row)
+
+
+def _interpolation_charpoly(m):
+    """The former charpoly: det(x*I - m) by Bareiss at x = 0..n, then the
+    Lagrange interpolation through those n+1 values."""
+    from latclass import exactnum as xn
+    n = len(m)
+    xs = list(range(n + 1))
+    ys = [xn.det([[Fraction(int(i == j) * x) - Fraction(m[i][j]) for j in range(n)]
+                  for i in range(n)]) for x in xs]
+    out = ()
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        term = up.constant(yi)
+        for j, xj in enumerate(xs):
+            if j != i:
+                term = up.scale(up.mul(term, P(-xj, 1)), Fraction(1, xi - xj))
+        out = up.add(out, term)
+    return out
+
+
+def test_charpoly_matches_interpolation_oracle():
+    rng = Random(2024)
+    for n in range(1, 6):
+        for _ in range(30):
+            ints = tuple(tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(n))
+            fracs = tuple(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                                for _ in range(n)) for _ in range(n))
+            for m in (ints, fracs):
+                cp = up.charpoly(m)
+                assert cp == _interpolation_charpoly(m), m
+                assert up.degree(cp) == n and up.is_monic(cp)
+                assert all(type(c) is Fraction for c in cp)
