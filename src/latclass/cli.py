@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from . import conjugacy as cj
@@ -20,7 +21,8 @@ from . import exactnum as xn
 from . import families as fam
 from . import poly as up
 from . import quadform as qf
-from .errors import LatClassError
+from .classes import QUOTIENT_CAP
+from .errors import LatClassError, ResourceError
 from .lattice import FullLattice
 
 EXIT_OK = 0
@@ -110,25 +112,24 @@ def _lattice_from_args(args) -> FullLattice:
 # subcommands
 
 def cmd_classify(args) -> int:
-    m = _read_matrix(args.matrix)
-    cp = up.charpoly(m)
-    regular = cj.is_regular(m)
+    a = cj.analyse(_read_matrix(args.matrix))
+    cp = a.charpoly
     out = {
         "charpoly": up.to_string(cp),
         "charpoly_coeffs": [str(c) for c in cp],
-        "regular": regular,
+        "regular": a.regular,
     }
-    if regular:
-        lat = cj.matrix_to_lattice(m)
+    if a.regular:
+        lat = a.lattice
         out["order_basis"] = _basis_json(lat.order().basis)
         out["lattice_basis"] = _basis_json(lat.basis)
         out["invertible"] = lat.is_invertible()
-        family_info = FAMILY_INFO.get(fam.spectrum_family(cp).tag)
+        family_info = FAMILY_INFO.get(a.spectrum.tag)
         if family_info is not None:
-            out.update(family_info(m))
+            out.update(family_info(a))
     if args.same_class is not None:
         # same_class raises DomainError for a non-regular pair
-        verdict = cj.same_class(m, _read_matrix(args.same_class))
+        verdict = cj.same_class(a, _read_matrix(args.same_class))
         out["same_class"] = "undecided" if verdict is None else verdict
         _emit(out, args.json)
         return EXIT_UNDECIDED if verdict is None else EXIT_OK
@@ -136,33 +137,34 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _info_quadratic(m) -> dict:
-    form = qf.form_of_matrix(m)
+def _info_quadratic(a: cj.MatrixAnalysis) -> dict:
+    form = qf.form_of_matrix(a.matrix)
     info = {"family": "quadratic", "form": list(form)}
     if form.four_disc() > 0:
         info["river_period"] = [list(f) for f in qf.river(form).period]
     return info
 
 
-def _info_split2(m) -> dict:
-    lo, hi, mu = fam.split2_normal_matrix(m)
+def _info_split2(a: cj.MatrixAnalysis) -> dict:
+    lo, hi, mu = a.invariant
     return {"family": "split", "normal_form": [[hi - lo, int(mu)], [0, 0]],
             "shift": lo}
 
 
-def _info_jordan2(m) -> dict:
-    lam, g = fam.jordan2_normal_matrix(m)
+def _info_jordan2(a: cj.MatrixAnalysis) -> dict:
+    lam, g = a.invariant
     return {"family": "jordan", "normal_form": [[0, g], [0, 0]], "shift": lam}
 
 
-def _info_split3(m) -> dict:
-    lams, triple = fam.split3_normal_form_of_matrix(m)
+def _info_split3(a: cj.MatrixAnalysis) -> dict:
+    lams, triple = a.invariant
     return {"family": "split", "eigenvalues": list(lams),
             "normal_triple": [str(x) for x in triple]}
 
 
-def _info_jordan3(m) -> dict:
-    lam, triple = fam.jordan3_normal_form_of_matrix(m)
+def _info_jordan3(a: cj.MatrixAnalysis) -> dict:
+    lam, triple = a.invariant
+    m = a.matrix
     info = {"family": "jordan", "shift": lam,
             "normal_triple": [str(x) for x in triple]}
     # a representative [[0, m1, -m3], [0, 0, m2], [0, 0, 0]] names its order
@@ -176,8 +178,8 @@ def _info_jordan3(m) -> dict:
     return info
 
 
-def _info_mixed(m) -> dict:
-    lams, triple = fam.mixed_normal_form_of_matrix(m)
+def _info_mixed(a: cj.MatrixAnalysis) -> dict:
+    lams, triple = a.invariant
     return {"family": "mixed", "eigenvalues": list(lams),
             "normal_triple": [str(x) for x in triple]}
 
@@ -194,6 +196,8 @@ FAMILY_INFO = {
 
 
 def cmd_enumerate(args) -> int:
+    if args.limit < 1:
+        raise UsageError("--limit must be at least 1")
     f = _read_poly(args.poly)
     spec = fam.spectrum_family(f)
     enumerate_family = FAMILY_ENUMERATE.get(spec.tag)
@@ -227,7 +231,14 @@ def _enum_split2(f, roots, limit) -> dict:
                          "order_alpha": rec["order_alpha"]} for rec in recs]}
 
 
+def _check_listing(count: int, name: str):
+    if count > QUOTIENT_CAP:
+        raise ResourceError(f"{name}: at least {count} classes, above the cap of "
+                            f"{QUOTIENT_CAP}")
+
+
 def _enum_jordan2(f, roots, limit) -> dict:
+    _check_listing(limit, "jordan2 listing")
     lam = roots[0][0]
     return {"infinite": True,
             "classes": [{"matrix": _matrix_json(xn.add_scalar(((0, k), (0, 0)), lam))}
@@ -247,6 +258,12 @@ def _enum_split3(f, roots, limit) -> dict:
 
 
 def _enum_jordan3(f, roots, limit) -> dict:
+    # one class per (m1, m2, m3) with m3 < gcd(m1, m2): at least limit^2
+    count = limit * limit
+    if count <= QUOTIENT_CAP:
+        count = sum(gcd(m1, m2) for m1 in range(1, limit + 1)
+                    for m2 in range(1, limit + 1))
+    _check_listing(count, "jordan3 listing")
     lam = roots[0][0]
     return {"infinite": True,
             "classes": [{"matrix": _matrix_json(
@@ -364,7 +381,9 @@ def cmd_tables(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> Parser:
+    """The parser, built on the first call and shared by every later one."""
     p = Parser(prog="latclass",
                description="Exact lattice arithmetic and integer matrix "
                            "conjugacy classification")

@@ -8,8 +8,10 @@ multiplication.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from random import Random
 
 from . import exactnum as xn
@@ -19,29 +21,74 @@ from .classes import epsilon_equivalent_bounded
 from .errors import DomainError
 from .lattice import FullLattice
 
-_ALGEBRA_CACHE: dict[tuple, tuple[Algebra, tuple]] = {}
+# f -> Q[t]/(f).  An algebra stays registered exactly as long as something
+# (a lattice, a caller) holds it, so lattices over one f share one Algebra.
+_ALGEBRAS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def algebra_for_poly(f) -> tuple[Algebra, tuple]:
     """Shared cyclic algebra Q[t]/(f) so that lattices are comparable."""
     f = up.poly(f)
     key = tuple(f)
-    if key not in _ALGEBRA_CACHE:
-        _ALGEBRA_CACHE[key] = cyclic_algebra(f)
-    return _ALGEBRA_CACHE[key]
+    alg = _ALGEBRAS.get(key)
+    if alg is None:
+        alg, _ = cyclic_algebra(f)
+        _ALGEBRAS[key] = alg
+    return alg, alg.generator
 
 
 def is_regular(m) -> bool:
-    """True iff the minimal polynomial equals the characteristic polynomial."""
-    cp, mp = up.char_min_poly(m)
-    return cp == mp
+    """True iff the minimal polynomial equals the characteristic polynomial,
+    i.e. I, m, ..., m^(n-1) are linearly independent: the Gram determinant of
+    these powers, each flattened to a vector of n^2 entries, is nonzero."""
+    n = len(m)
+    power = xn.identity(n)
+    vecs = [[x for row in power for x in row]]
+    for _ in range(n - 1):
+        power = xn.mat_mul(power, m)
+        vecs.append([x for row in power for x in row])
+    return xn.det(xn.mat_mul(vecs, xn.transpose(vecs))) != 0
 
 
-def integer_charpoly(m) -> up.Poly:
-    cp = up.charpoly(m)
-    if any(c.denominator != 1 for c in cp):
+def _integral(f: up.Poly) -> up.Poly:
+    if any(c.denominator != 1 for c in f):
         raise DomainError("matrix has a non-integer characteristic polynomial")
-    return cp
+    return f
+
+
+class MatrixAnalysis:
+    """What the correspondence reads off one square matrix, each computed
+    once: the characteristic polynomial f, regularity, and on first use the
+    spectrum family of f (a families.Spectrum), the full lattice in Q[t]/(f)
+    and the complete invariant of a closed-form family."""
+
+    def __init__(self, m):
+        self.matrix = m
+        self.charpoly = up.charpoly(m)
+        self.regular = is_regular(m)
+
+    @cached_property
+    def spectrum(self):
+        from .families import spectrum_family
+
+        return spectrum_family(self.charpoly)
+
+    @cached_property
+    def lattice(self) -> FullLattice:
+        return matrix_to_lattice(self)
+
+    @cached_property
+    def invariant(self):
+        """families.INVARIANTS of the spectrum's family, or None outside them."""
+        from .families import INVARIANTS
+
+        invariant = INVARIANTS.get(self.spectrum.tag)
+        return None if invariant is None else invariant(self)
+
+
+def analyse(m) -> MatrixAnalysis:
+    """The analysis of the matrix m, or m itself if it already is one."""
+    return m if isinstance(m, MatrixAnalysis) else MatrixAnalysis(m)
 
 
 def cyclic_generator(m, seed: int = 0) -> tuple:
@@ -69,16 +116,18 @@ def _krylov(mf, v) -> xn.Mat:
 
 
 def matrix_to_lattice(m) -> FullLattice:
-    """The full lattice of a regular integer matrix, inside Q[t]/(charpoly)."""
-    if not is_regular(m):
+    """The full lattice of a regular integer matrix, inside Q[t]/(charpoly);
+    m may be a MatrixAnalysis, whose f and regularity are then reused."""
+    a = analyse(m)
+    if not a.regular:
         raise DomainError("matrix_to_lattice: matrix is not regular")
-    f = integer_charpoly(m)
-    alg, _ = algebra_for_poly(f)
-    v = cyclic_generator(m)
-    k = _krylov(xn.mat_fractions(m), v)
+    alg, t = algebra_for_poly(_integral(a.charpoly))
+    v = cyclic_generator(a.matrix)
+    k = _krylov(xn.mat_fractions(a.matrix), v)
     lat = FullLattice.from_basis_matrix(alg, xn.rmat_inv(k))
-    lam_f = FullLattice(alg, xn.columns(xn.identity(alg.dim)))
-    if not lat.order().contains_lattice(lam_f):  # pragma: no cover - theorem
+    # the order of lat contains Z[t] iff t*lat lies in lat
+    t_lat = lat.in_basis(xn.mat_mul(alg.mult_matrix(t), lat.basis))
+    if not xn.mat_is_integral(t_lat):  # pragma: no cover - theorem
         raise AssertionError("constructed lattice is not stable under t")
     return lat
 
@@ -122,68 +171,58 @@ class ConjugacyClassTag:
 
 
 def class_tag(m) -> ConjugacyClassTag:
-    lat = matrix_to_lattice(m)
-    return ConjugacyClassTag(integer_charpoly(m), lat.order().basis, lat.basis)
+    a = analyse(m)
+    lat = a.lattice
+    return ConjugacyClassTag(_integral(a.charpoly), lat.order().basis, lat.basis)
 
 
 def same_class(m1, m2, bound: int = 3):
-    """Decide GL_n(Z)-conjugacy where a procedure exists.
+    """Decide GL_n(Z)-conjugacy where a procedure exists; either matrix may be
+    given as its MatrixAnalysis.
 
     Returns True / False, or None when undecided (the bounded transporter
     search is sound but incomplete outside the classified families).
     """
-    from .families import spectrum_family
-
-    f1 = integer_charpoly(m1)
-    f2 = integer_charpoly(m2)
-    if f1 != f2:
+    a1, a2 = analyse(m1), analyse(m2)
+    if _integral(a1.charpoly) != _integral(a2.charpoly):
         raise DomainError("same_class: characteristic polynomials differ")
-    if not (is_regular(m1) and is_regular(m2)):
+    if not (a1.regular and a2.regular):
         raise DomainError("same_class: matrices must be regular")
-    decide = FAMILY_DECIDERS.get(spectrum_family(f1).tag)
+    a2.spectrum = a1.spectrum   # one f, so one spectrum for the pair
+    decide = FAMILY_DECIDERS.get(a1.spectrum.tag)
     if decide is not None:
-        return decide(m1, m2)
-    l1 = matrix_to_lattice(m1)
-    l2 = matrix_to_lattice(m2)
-    return epsilon_equivalent_bounded(l1, l2, bound)
+        return decide(a1, a2)
+    return epsilon_equivalent_bounded(a1.lattice, a2.lattice, bound)
 
 
-def _decide_quadratic(m1, m2) -> bool:
+def _decide_quadratic(a1: MatrixAnalysis, a2: MatrixAnalysis) -> bool:
     from .quadform import matrices_conjugate
 
-    return matrices_conjugate(m1, m2)
+    return matrices_conjugate(a1.matrix, a2.matrix)
 
 
-def _same_invariant(name: str):
-    """Decide by equality of the complete invariant ``families.<name>``."""
-    def decide(m1, m2) -> bool:
-        from . import families
-
-        invariant = getattr(families, name)
-        return invariant(m1) == invariant(m2)
-    return decide
+def _same_invariant(a1: MatrixAnalysis, a2: MatrixAnalysis) -> bool:
+    return a1.invariant == a2.invariant
 
 
 # complete decisions in dimension 2 and for the split/jordan/mixed families of
 # dimension 3, keyed by families.spectrum_family tag
 FAMILY_DECIDERS = {
-    "quadratic": _decide_quadratic,                           # types IV and V
-    "split2": _same_invariant("split2_normal_matrix"),        # type III
-    "jordan2": _same_invariant("jordan2_normal_matrix"),      # type II
-    "split3": _same_invariant("split3_normal_form_of_matrix"),
-    "jordan3": _same_invariant("jordan3_normal_form_of_matrix"),
-    "mixed": _same_invariant("mixed_normal_form_of_matrix"),
+    "quadratic": _decide_quadratic,   # types IV and V
+    "split2": _same_invariant,        # type III
+    "jordan2": _same_invariant,       # type II
+    "split3": _same_invariant,
+    "jordan3": _same_invariant,
+    "mixed": _same_invariant,
 }
 
 
 def class_product(m1, m2) -> xn.Mat:
     """A representative of the product conjugacy class, via lattice product."""
-    f1 = integer_charpoly(m1)
-    if f1 != integer_charpoly(m2):
+    a1, a2 = analyse(m1), analyse(m2)
+    if _integral(a1.charpoly) != _integral(a2.charpoly):
         raise DomainError("class_product: characteristic polynomials differ")
-    l1 = matrix_to_lattice(m1)
-    l2 = matrix_to_lattice(m2)
-    return lattice_to_matrix(l1 * l2)
+    return lattice_to_matrix(a1.lattice * a2.lattice)
 
 
 def random_unimodular(n: int, rng: Random, length: int = 6) -> xn.Mat:

@@ -23,7 +23,7 @@ from . import classes as cl
 from . import exactnum as xn
 from . import poly as up
 from .algebra import Algebra, flat3_algebra, mixed_algebra, split_algebra
-from .conjugacy import algebra_for_poly, matrix_for, matrix_to_lattice
+from .conjugacy import MatrixAnalysis, algebra_for_poly, analyse, matrix_for
 from .errors import DomainError, ResourceError
 from .exactnum import gcd_q
 from .lattice import FullLattice, span
@@ -85,13 +85,27 @@ def spectrum_family(f) -> Spectrum:
     return Spectrum(tag, roots)
 
 
-def _family_roots(m, tag: str) -> tuple[tuple[int, int], ...]:
-    """The (root, multiplicity) pairs of m's characteristic polynomial,
-    which must belong to the family ``tag``."""
-    spec = spectrum_family(up.charpoly(m))
-    if spec.tag != tag:
-        raise DomainError(f"matrix spectrum is of family {spec.tag}, not {tag}")
-    return spec.roots
+def _family_roots(a: MatrixAnalysis, tag: str) -> tuple[tuple[int, int], ...]:
+    """The (root, multiplicity) pairs of the analysed matrix's characteristic
+    polynomial, which must belong to the family ``tag``."""
+    if a.spectrum.tag != tag:
+        raise DomainError(f"matrix spectrum is of family {a.spectrum.tag}, not {tag}")
+    return a.spectrum.roots
+
+
+def _transport(a: MatrixAnalysis, alg: Algebra, g) -> FullLattice:
+    """The lattice of the analysed matrix carried into alg by t -> g, where
+    f(g) = 0 and g generates alg: the power basis 1, t, ..., t^(n-1) of
+    Q[t]/(f) goes to the powers of g.
+
+    A shift m -> s*(m - c*I) only renames t as c + s*t in this map, so the
+    lattice of the shifted matrix is never built.
+    """
+    powers = [alg.unit]
+    for _ in range(alg.dim - 1):
+        powers.append(alg.mul(powers[-1], g))
+    trans = xn.from_columns(powers)
+    return span(alg, [xn.mat_vec(trans, col) for col in a.lattice.generators()])
 
 
 def _centered(v: int, m: int) -> int:
@@ -275,20 +289,15 @@ def split3_enumerate_classes(lams: tuple[int, int, int]) -> list[dict]:
     return out
 
 
-def split3_normal_form_of_matrix(m) -> tuple:
+def split3_invariant(a: MatrixAnalysis) -> tuple:
     """Complete conjugacy invariant for 3x3 matrices with distinct integer
     eigenvalues: the eigenvalue vector plus the normal-form triple."""
-    lams, lat = _split3_lattice_of_matrix(m)
-    return lams, split3_normalize(lat)
+    lams = tuple(r for r, _ in _family_roots(a, "split3"))
+    return lams, split3_normalize(_transport(a, SPLIT3, SPLIT3.element(lams)))
 
 
-def _split3_lattice_of_matrix(m):
-    lams = tuple(r for r, _ in _family_roots(m, "split3"))
-    lat_f = matrix_to_lattice(m)
-    # transport t -> lams . e from the power-basis presentation
-    trans = tuple(tuple(Fraction(lam) ** k for k in range(3)) for lam in lams)
-    cols = [xn.mat_vec(trans, gcol) for gcol in lat_f.generators()]
-    return lams, span(SPLIT3, cols)
+def split3_normal_form_of_matrix(m) -> tuple:
+    return split3_invariant(analyse(m))
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +336,15 @@ def split2_enumerate(lam: int) -> list[dict]:
     return out
 
 
-def split2_normal_matrix(m) -> tuple:
+def split2_invariant(a: MatrixAnalysis) -> tuple:
     """Normal form data (lam1, lam2, mu) for distinct integer eigenvalues."""
-    (lo, _), (hi, _) = _family_roots(m, "split2")
-    lam = hi - lo
-    lat_f = matrix_to_lattice(xn.add_scalar(m, -lo))
-    trans = ((1, Fraction(lam)), (1, Fraction(0)))
-    cols = [xn.mat_vec(trans, g) for g in lat_f.generators()]
-    lat = span(SPLIT2, cols)
-    mu = lam * split2_normalize(lat)
-    return (lo, hi, mu)
+    (lo, _), (hi, _) = _family_roots(a, "split2")
+    lat = _transport(a, SPLIT2, SPLIT2.element((hi, lo)))
+    return (lo, hi, (hi - lo) * split2_normalize(lat))
+
+
+def split2_normal_matrix(m) -> tuple:
+    return split2_invariant(analyse(m))
 
 
 # ===========================================================================
@@ -446,20 +454,28 @@ def jordan_decode(m1: int, m2: int, m3: int) -> tuple[int, int, int, int, int]:
     return n2, m1 * m2 // (n2 * n2), m3, m1 // n2, m2 // n2
 
 
-def jordan3_normal_form_of_matrix(m) -> tuple:
+def jordan3_invariant(a: MatrixAnalysis) -> tuple:
     """Complete invariant (eigenvalue, normal triple) for a rank-3 single block."""
-    (lam, _), = _family_roots(m, "jordan3")
-    lat = matrix_to_lattice(xn.add_scalar(m, -lam))
-    return lam, jordan_normalize(lat)
+    (lam, _), = _family_roots(a, "jordan3")
+    alg, _ = jordan_algebra(3)
+    return lam, jordan_normalize(_transport(a, alg, alg.element((lam, 1, 0))))
 
 
-def jordan2_normal_matrix(m) -> tuple:
+def jordan3_normal_form_of_matrix(m) -> tuple:
+    return jordan3_invariant(analyse(m))
+
+
+def jordan2_invariant(a: MatrixAnalysis) -> tuple:
     """(eigenvalue, m) with representative [[0, m], [0, 0]] after the shift."""
-    (lam, _), = _family_roots(m, "jordan2")
-    entries = [int(x) for row in xn.add_scalar(m, -lam) for x in row]
+    (lam, _), = _family_roots(a, "jordan2")
+    entries = [int(x) for row in xn.add_scalar(a.matrix, -lam) for x in row]
     if not any(entries):
         raise DomainError("matrix is scalar, not regular")
     return lam, gcd(*entries)
+
+
+def jordan2_normal_matrix(m) -> tuple:
+    return jordan2_invariant(analyse(m))
 
 
 # ===========================================================================
@@ -644,21 +660,31 @@ def mixed_enumerate(alpha: int, max_n2: int = 8) -> list[dict]:
     return out
 
 
-def mixed_normal_form_of_matrix(m) -> tuple:
+def mixed_invariant(a: MatrixAnalysis) -> tuple:
     """Complete invariant for 3x3 matrices with a double and a single integer
-    eigenvalue: (eigenvalues, sign, normal triple)."""
-    root_of = {mult: r for r, mult in _family_roots(m, "mixed")}
+    eigenvalue: (eigenvalues, normal triple)."""
+    root_of = {mult: r for r, mult in _family_roots(a, "mixed")}
     double, single = root_of[2], root_of[1]
-    alpha = single - double
-    sign = 1 if alpha > 0 else -1
-    shifted = tuple(tuple(sign * x for x in row) for row in xn.add_scalar(m, -double))
-    lat_f = matrix_to_lattice(shifted)
-    a0 = abs(alpha)
-    # transport t -> a0*e1 + a: 1 -> (1,1,0), t -> (a0,0,1), t^2 -> (a0^2,0,0)
-    trans = ((1, a0, a0 * a0), (1, 0, 0), (0, 1, 0))
-    cols = [xn.mat_vec(xn.mat_fractions(trans), g) for g in lat_f.generators()]
-    lat = span(MIXED, cols)
+    # s = sign*(t - double) goes to |single - double|*e1 + a, so
+    # t -> single*e1 + double*e2 + sign*a
+    sign = 1 if single > double else -1
+    lat = _transport(a, MIXED, MIXED.element((single, double, sign)))
     return (double, single), mixed_normalize(lat)
+
+
+def mixed_normal_form_of_matrix(m) -> tuple:
+    return mixed_invariant(analyse(m))
+
+
+# the complete conjugacy invariant of a matrix (MatrixAnalysis.invariant),
+# per spectrum_family tag
+INVARIANTS = {
+    "split2": split2_invariant,
+    "jordan2": jordan2_invariant,
+    "split3": split3_invariant,
+    "jordan3": jordan3_invariant,
+    "mixed": mixed_invariant,
+}
 
 
 # ===========================================================================

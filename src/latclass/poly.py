@@ -329,22 +329,28 @@ def factor_rationals(f: Poly) -> list[tuple[Poly, int]]:
 # characteristic and minimal polynomials
 
 def charpoly(m) -> Poly:
-    """Characteristic polynomial det(t*I - m) of a square rational matrix.
+    """Characteristic polynomial det(t*I - m) of a square matrix with int or
+    Fraction entries.
 
-    Evaluated by fraction-free elimination at n+1 integer points, then
-    interpolated; exact throughout.
+    Berkowitz's division-free recurrence (IPL 18, 1984): the coefficient
+    vector of the leading r x r block times a lower-triangular Toeplitz
+    matrix, whose first column is 1, -a_rr, -R*C, -R*A*C, ..., with A the
+    block before, C the column above a_rr and R the row left of it, gives
+    that of the leading (r+1) x (r+1) block.  Only ring operations, so an
+    integer matrix stays in ints throughout.
     """
     n = len(m)
-    xs = list(range(n + 1))
-    ys = []
-    for x in xs:
-        a = [[(Fraction(x) if i == j else Fraction(0)) - Fraction(m[i][j]) for j in range(n)]
-             for i in range(n)]
-        ys.append(xn.det(a))
-    p = _interpolate(xs, ys)
-    if not is_monic(p) or degree(p) != n:  # pragma: no cover - internal check
-        raise DomainError("charpoly: interpolation failed")
-    return p
+    desc = [1]                      # descending coefficients of the empty block
+    for r in range(n):
+        row = m[r][:r]
+        v = [m[i][r] for i in range(r)]
+        toeplitz = [1, -m[r][r]]
+        for _ in range(r):
+            toeplitz.append(-sum(x * y for x, y in zip(row, v)))
+            v = [sum(m[i][j] * v[j] for j in range(r)) for i in range(r)]
+        desc = [sum(toeplitz[i - j] * desc[j] for j in range(min(i, r) + 1))
+                for i in range(r + 2)]
+    return poly(reversed(desc))
 
 
 def minpoly(m) -> Poly:

@@ -186,6 +186,10 @@ def test_usage_errors_exit_1(capsys):
     assert main(["classify", "--matrix", "[[0,1],[1,0]]",
                  "--same-class", "[[1,0],[0]]"]) == 1
     assert main(["enumerate", "--poly", "t/2"]) == 1
+    # an empty or negative listing bound is a usage error for every family
+    for poly in ("t^3", "t^2-2t+1", "t^2+5"):
+        assert main(["enumerate", "--poly", poly, "--limit", "0"]) == 1, poly
+    assert main(["enumerate", "--poly", "t^3", "--limit", "-3"]) == 1
     assert main(["enumerate", "--poly", "3t/4+1"]) == 1
     for bad in ("[[1,2],[3]]", "[]", "[[]]", "[[],[]]", "[1,2]", '{"basis": 5}',
                 "[[1,0,0],[0,1,0],[0,0,1]]", "[[1,0]]"):
@@ -208,6 +212,11 @@ def test_domain_error_exit_2(capsys):
     # searches above classes.QUOTIENT_CAP raise ResourceError before looping
     assert main(["enumerate", "--poly", "t^3-2000t^2"]) == 2
     assert main(["enumerate", "--poly", "t^2-2t+1000000000001"]) == 2
+    # the jordan listings count their classes first: limit for jordan2, the
+    # sum of gcd(m1, m2) for jordan3 (at least limit^2, so 2000 needs no sum)
+    assert main(["enumerate", "--poly", "t^2-2t+1", "--limit", "3000000"]) == 2
+    assert main(["enumerate", "--poly", "t^3", "--limit", "2000"]) == 2
+    assert main(["enumerate", "--poly", "t^3-3t^2+3t-1", "--limit", "1000"]) == 2
 
 
 def test_matrix_with_claimed_charpoly(capsys):

@@ -1,3 +1,4 @@
+import gc
 from random import Random
 
 import pytest
@@ -192,3 +193,40 @@ def test_lattices_of_conjugates_are_w_equivalent():
         u = cj.random_unimodular(3, rng)
         conj = xn.mat_mul(xn.mat_mul(xn.unimodular_inverse(u), m), u)
         assert w_equivalent(cj.matrix_to_lattice(m), cj.matrix_to_lattice(conj))
+
+
+def test_algebra_registry_frees_unheld_algebras():
+    gc.collect()
+    start = len(cj._ALGEBRAS)
+    lattices = []
+    for k in range(300):
+        alg, t = cj.algebra_for_poly([k + 2, -k, 1])      # t^2 - k t + k + 2
+        lat = span(alg, [(1, 0), (0, 2)])
+        if k % 3 == 0:
+            lat.dual()      # keeps the canonical metric, which points back
+        lattices.append(lat)
+    assert len(cj._ALGEBRAS) == start + 300
+    # while a lattice lives, its algebra is the one the registry hands out
+    for lat in lattices[::50]:
+        f = lat.algebra.defining_poly
+        first, _ = cj.algebra_for_poly(f)
+        second, _ = cj.algebra_for_poly(list(f))
+        assert first is second is lat.algebra
+    del lattices, lat, alg, t, first, second
+    gc.collect()
+    assert len(cj._ALGEBRAS) == start
+
+
+def test_analysis_is_shared_and_same_class_accepts_it():
+    m = ((1, 2, 0), (0, -1, 1), (0, 0, 2))      # eigenvalues 1, -1, 2
+    a = cj.analyse(m)
+    assert cj.analyse(a) is a
+    assert a.charpoly == up.charpoly(m) and a.regular
+    assert a.lattice is a.lattice
+    assert a.lattice == cj.matrix_to_lattice(m)
+    u = cj.random_unimodular(3, Random(5))
+    conj = xn.mat_mul(xn.mat_mul(xn.unimodular_inverse(u), m), u)
+    assert cj.same_class(a, conj) is True
+    assert cj.same_class(m, cj.analyse(conj)) is True
+    with pytest.raises(DomainError):
+        cj.analyse(((2, 0), (0, 2))).lattice
