@@ -60,6 +60,33 @@ _ROOT_PATTERNS = {
 }
 
 
+def _integer_roots(coeffs: list[int]) -> list[tuple[int, int]]:
+    """The integer roots of the monic integer polynomial with ascending
+    coefficients ``coeffs``, as (root, multiplicity) pairs in increasing order.
+
+    t^k divides it for the k lowest zero coefficients; every other integer
+    root divides the lowest nonzero coefficient, and each root found is
+    divided out (Horner) as often as it goes, which counts its multiplicity.
+    """
+    k = next(i for i, c in enumerate(coeffs) if c)
+    desc = coeffs[k:][::-1]   # descending, t^k divided out
+    roots = [(0, k)] if k else []
+    for d in xn.divisors(desc[-1]):
+        for r in (-d, d):
+            mult = 0
+            while len(desc) > 1:
+                acc = [desc[0]]
+                for c in desc[1:]:
+                    acc.append(acc[-1] * r + c)
+                if acc[-1]:
+                    break
+                desc = acc[:-1]
+                mult += 1
+            if mult:
+                roots.append((r, mult))
+    return sorted(roots)
+
+
 def spectrum_family(f) -> Spectrum:
     """Which closed-form family the monic integer polynomial f belongs to.
 
@@ -73,8 +100,7 @@ def spectrum_family(f) -> Spectrum:
         raise DomainError("expected a monic polynomial with integer coefficients")
     n = up.degree(f)
     # a rational root of a monic integer polynomial is an integer
-    roots = tuple(sorted((int(-g[0]), mult) for g, mult in up.factor_rationals(f)
-                         if up.degree(g) == 1))
+    roots = tuple(_integer_roots([int(c) for c in f]))
     mults = tuple(sorted(mult for _, mult in roots))
     if sum(mults) == n:
         tag = _ROOT_PATTERNS.get((n, mults))
@@ -212,14 +238,6 @@ def split3_group_size(p: SplitOrderParams) -> int:
     return _split3_unit_row(p)[-1]
 
 
-def _unipotent_triple3(l: FullLattice) -> tuple[Fraction, Fraction, Fraction]:
-    """The (d1, d2, d3) of the unipotent representative of l's unit class."""
-    b = l.basis
-    u = l.algebra.element((1 / b[0][0], 1 / b[1][1], 1 / b[2][2]))
-    nb = l.scale(u).basis
-    return nb[0][1], nb[1][2], nb[0][2]
-
-
 def _split_normal_window(d1: Fraction, d2: Fraction, d3: Fraction) -> bool:
     if not (0 <= d2 <= HALF and 0 <= d3 <= HALF):
         return False
@@ -233,27 +251,68 @@ def _split_normal_window(d1: Fraction, d2: Fraction, d3: Fraction) -> bool:
     return 0 <= d1 <= HALF
 
 
-def split3_normalize(l: FullLattice) -> tuple[Fraction, Fraction, Fraction]:
-    """The canonical unit-class representative triple (d1, d2, d3).
+def _split3_normal_triple(d1: Fraction, d2: Fraction,
+                          d3: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """The normal form of the class of <(1,0,0), (d1,1,0), (d3,d2,1)>.
 
-    The window conditions isolate a single unipotent representative away from
-    the boundaries; on rare boundary configurations two sub-cases can both
-    admit a representative (e.g. the class of (1/3, 1/2, 0) also contains
-    (1/3, 1/2, 1/3)), so ties are broken lexicographically.
+    The sign unit (1, s1, s2) (one per class of sign vectors modulo -1)
+    takes that basis, with its columns flipped back to a positive diagonal,
+    to ((1, e1, e3), (0, 1, e2), (0, 0, 1)) with e1 = s1*d1, e2 = s1*s2*d2
+    and e3 = s2*d3.  Its column HNF subtracts q = floor(e2) times the second
+    column from the third, then reduces the first row mod 1.  The window
+    isolates a single sign pattern away from the boundaries; on rare
+    boundary configurations two can both land in it (e.g. the class of
+    (1/3, 1/2, 0) also contains (1/3, 1/2, 1/3)), so ties are broken
+    lexicographically.
     """
-    if l.algebra is not SPLIT3:
-        raise DomainError("split3_normalize: lattice is not in the split algebra")
     cands = set()
-    for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)):
-        cands.add(_unipotent_triple3(l.scale(SPLIT3.element(signs))))
+    for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        e1, e2, e3 = s1 * d1, s1 * s2 * d2, s2 * d3
+        q = e2.__floor__()
+        cands.add((e1 % 1, e2 - q, (e3 - q * e1) % 1))
     valid = sorted(c for c in cands if _split_normal_window(*c))
     if not valid:  # pragma: no cover - the window reductions always land
         raise AssertionError("no candidate passed the normal-form window")
     return valid[0]
 
 
+def split3_normalize(l: FullLattice) -> tuple[Fraction, Fraction, Fraction]:
+    """The canonical unit-class representative triple (d1, d2, d3).
+
+    The positive unit (1/b00, 1/b11, 1/b22) scales the rows of the canonical
+    basis b to the unipotent basis with d1 = b01/b00, d2 = b12/b11 and
+    d3 = b02/b00, already reduced into [0, 1); the sign units then act on
+    that triple in closed form (_split3_normal_triple).
+    """
+    if l.algebra is not SPLIT3:
+        raise DomainError("split3_normalize: lattice is not in the split algebra")
+    b = l.basis
+    return _split3_normal_triple(b[0][1] / b[0][0], b[1][2] / b[1][1],
+                                 b[0][2] / b[0][0])
+
+
 def split3_lattice_of_triple(d1, d2, d3) -> FullLattice:
     return span(SPLIT3, [(1, 0, 0), (d1, 1, 0), (d3, d2, 1)])
+
+
+def split3_order_of_triple(d1: Fraction, d2: Fraction, d3: Fraction) -> SplitOrderParams:
+    """The order parameters of L = <(1,0,0), (d1,1,0), (d3,d2,1)>, in closed form.
+
+    x*1 + (y1, y2, 0) lies in O(L) iff x, y1 and y2 are integers and
+    (y1 - y2)*d1, y2*d2 and y1*d3 - y2*d1*d2 are integers.  So a1 is the
+    least y1 > 0 with y2 = 0, and a2 the least y2 > 0 that admits some y1
+    (unique mod a1), which is a3 centred.  y2 is a multiple of den(d2), and
+    y2 = y1 = lcm(den d2, den(d3 - d1*d2)) satisfies every condition, which
+    bounds the search.
+    """
+    a1 = lcm(d1.denominator, d3.denominator)
+    step = d2.denominator
+    for y2 in range(step, lcm(step, (d3 - d1 * d2).denominator) + 1, step):
+        for y1 in range(a1):
+            if ((y1 - y2) * d1).denominator == 1 \
+                    and (y1 * d3 - y2 * d1 * d2).denominator == 1:
+                return SplitOrderParams(a1, y2, _centered(y1, a1))
+    raise AssertionError("no y2 up to the bound admits a y1")  # pragma: no cover
 
 
 def split3_enumerate_classes(lams: tuple[int, int, int]) -> list[dict]:
@@ -278,13 +337,14 @@ def split3_enumerate_classes(lams: tuple[int, int, int]) -> list[dict]:
                 # a2*d2 and a1*d3 integers; this stability condition remains
                 if (p.a3 * d3 - p.a2 * d1 * d2).denominator != 1:
                     continue
-                lat = split3_lattice_of_triple(d1, d2, d3)
-                if split3_normalize(lat) != (d1, d2, d3):
+                if _split3_normal_triple(d1, d2, d3) != (d1, d2, d3):
                     continue   # a boundary alias of a class listed elsewhere
-                basis = ((1, d1, d3), (0, 1, d2), (0, 0, 1))
-                m = matrix_for(lat, g, basis=basis)
-                out.append({"triple": (d1, d2, d3), "lattice": lat, "matrix": m,
-                            "order": split3_order_params(lat.order())})
+                # every d lies in [0, 1), so the canonical basis is
+                # ((1, d1, d3), (0, 1, d2), (0, 0, 1)) itself
+                lat = split3_lattice_of_triple(d1, d2, d3)
+                out.append({"triple": (d1, d2, d3), "lattice": lat,
+                            "matrix": matrix_for(lat, g),
+                            "order": split3_order_of_triple(d1, d2, d3)})
     out.sort(key=lambda r: r["triple"])
     return out
 
@@ -317,9 +377,10 @@ def split2_orders_above(alpha: int) -> list[int]:
 
 
 def split2_normalize(l: FullLattice) -> Fraction:
+    """The unipotent entry d = b01/b00 of the canonical basis b, in [0, 1),
+    folded by the sign unit (1, -1) to min(d, 1 - d)."""
     b = l.basis
-    u = l.algebra.element((1 / b[0][0], 1 / b[1][1]))
-    d = l.scale(u).basis[0][1]
+    d = b[0][1] / b[0][0]
     return min(d, 1 - d) if d else d
 
 

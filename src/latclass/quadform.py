@@ -141,6 +141,9 @@ def enumerate_m(r: int, s: int, wide: bool = False) -> list[xn.Mat]:
 # ---------------------------------------------------------------------------
 # the Conway river
 
+# the most forms one river period may hold before river() gives up
+RIVER_CAP = 100_000
+
 T_STEP = ((1, 1), (0, 1))
 U_STEP = ((1, 0), (1, 1))
 
@@ -171,15 +174,41 @@ class RiverCycle:
 
 
 def _river_orbit(start: QuadForm) -> list[QuadForm]:
+    """The forms of one river period from start; raises ResourceError once it
+    holds RIVER_CAP forms without closing."""
     states = [start]
+    seen = {start}
     state = start
     while True:
         state, _ = _river_step(state)
         if state == start:
             return states
-        if state in states:  # pragma: no cover - the river is a single cycle
+        if state in seen:  # pragma: no cover - the river is a single cycle
             raise AssertionError("river walk re-entered mid-cycle")
+        if len(states) == RIVER_CAP:
+            raise ResourceError(f"river: the period is longer than the cap of "
+                                f"{RIVER_CAP} forms")
         states.append(state)
+        seen.add(state)
+
+
+def _least_rotation(seq) -> int:
+    """The least k with seq[k:] + seq[:k] lexicographically minimal, in linear
+    time: two candidate starts i < j race over a common offset k, and a
+    mismatch at offset k rules out the loser's start and the next k starts."""
+    n = len(seq)
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = seq[(i + k) % n], seq[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(j, i + k) + 1
+        else:
+            j += k + 1
+        k = 0
+    return i
 
 
 def river(f: QuadForm) -> RiverCycle:
@@ -195,7 +224,7 @@ def river(f: QuadForm) -> RiverCycle:
         f0 = f0.reversed()
     orbit = _river_orbit(f0)
     # canonical period start: lexicographically minimal rotation
-    k = min(range(len(orbit)), key=lambda i: orbit[i:] + orbit[:i])
+    k = _least_rotation(orbit)
     orbit = orbit[k:] + orbit[:k]
     moves = []
     autom = xn.identity(2)

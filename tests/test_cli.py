@@ -217,6 +217,9 @@ def test_domain_error_exit_2(capsys):
     assert main(["enumerate", "--poly", "t^2-2t+1", "--limit", "3000000"]) == 2
     assert main(["enumerate", "--poly", "t^3", "--limit", "2000"]) == 2
     assert main(["enumerate", "--poly", "t^3-3t^2+3t-1", "--limit", "1000"]) == 2
+    # a river period longer than quadform.RIVER_CAP forms
+    assert main(["quadform", "types", "-a", "1", "-h", "0", "-b", "-1000000007"]) == 2
+    assert main(["quadform", "river", "-a", "1", "-h", "0", "-b", "-99999999977"]) == 2
 
 
 def test_matrix_with_claimed_charpoly(capsys):

@@ -41,6 +41,51 @@ def test_spectrum_family():
             fam.spectrum_family(coeffs)
 
 
+def _spectrum_by_factoring(f) -> fam.Spectrum:
+    """The Spectrum read off the rational factorization of f."""
+    n = up.degree(f)
+    roots = tuple(sorted((int(-g[0]), mult) for g, mult in up.factor_rationals(f)
+                         if up.degree(g) == 1))
+    mults = tuple(sorted(mult for _, mult in roots))
+    if sum(mults) == n:
+        tag = fam._ROOT_PATTERNS.get((n, mults))
+    elif n == 2:
+        tag = "quadratic"
+    else:
+        tag = "cubic_fixture" if f == fam.CUBIC_POLY else None
+    return fam.Spectrum(tag, roots)
+
+
+def test_spectrum_family_matches_factoring():
+    rng = Random(31)
+    # irreducible quadratics: t^2 + 5, t^2 - 7, t^2 - t - 1, t^2 + t + 1
+    quadratics = [up.poly(c) for c in ((5, 0, 1), (-7, 0, 1), (-1, -1, 1), (1, 1, 1))]
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        f = up.poly([1])
+        while up.degree(f) < n:
+            room = n - up.degree(f)
+            pick = rng.random()
+            if pick < 0.15:
+                f = up.mul(f, up.poly([0, 1]))                   # a zero root
+            elif pick < 0.3 and room >= 2:
+                f = up.mul(f, rng.choice(quadratics))
+            elif pick < 0.35 and room >= 3:
+                f = up.mul(f, fam.CUBIC_POLY)
+            else:
+                lin = up.poly([-rng.randint(-4, 4), 1])
+                for _ in range(min(room, rng.choice((1, 1, 2, 3)))):  # repeated roots
+                    f = up.mul(f, lin)
+        seen.add(f)
+    seen.add(fam.CUBIC_POLY)
+    for f in seen:
+        assert fam.spectrum_family(f) == _spectrum_by_factoring(f), f
+    tags = {fam.spectrum_family(f).tag for f in seen}
+    assert tags >= {"linear", "quadratic", "split2", "jordan2", "split3",
+                    "jordan3", "mixed", "cubic_fixture", None}
+
+
 # ---------------------------------------------------------------------------
 # split family, n = 3
 

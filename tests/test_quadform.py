@@ -90,6 +90,41 @@ def test_river_period_t2_minus_7():
     assert cyc.unit_omega == (8, 3)      # 8 + 3*sqrt(7), the norm-1 Pell unit
 
 
+def test_least_rotation_matches_brute_force():
+    rng = Random(12)
+    for _ in range(3000):
+        seq = [rng.randint(0, rng.choice((1, 2, 3))) for _ in range(rng.randint(1, 10))]
+        if rng.random() < 0.3:
+            seq = seq[:max(1, len(seq) // 3)] * 3      # periodic: tied rotations
+        brute = min(range(len(seq)), key=lambda i: seq[i:] + seq[:i])
+        assert qf._least_rotation(seq) == brute, seq
+
+
+def test_river_long_period_is_linear():
+    # period 23,256: the rotation search and the walk are linear in it
+    start = time.process_time()
+    cyc = qf.river(QuadForm(1, 0, -4000037))
+    a, b, c = qf.classify_types(QuadForm(1, 0, -4000037))
+    assert time.process_time() - start < 5
+    assert len(cyc.period) == 23256
+    assert cyc.period[0] == min(cyc.period)    # the least rotation starts there
+    assert QuadForm(1, 0, -4000037) in a
+    assert all(f.four_disc() == 4 * 4000037 for f in a | b | c)
+
+
+def test_river_cap(monkeypatch):
+    # x^2 - 1000000007 y^2 has a period beyond the cap: an error, not a hang
+    start = time.process_time()
+    with pytest.raises(ResourceError):
+        qf.river(QuadForm(1, 0, -1000000007))
+    assert time.process_time() - start < 20
+    monkeypatch.setattr(qf, "RIVER_CAP", 6)
+    with pytest.raises(ResourceError):
+        qf.river(QuadForm(1, 0, -7))      # period 7
+    monkeypatch.setattr(qf, "RIVER_CAP", 7)
+    assert len(qf.river(QuadForm(1, 0, -7)).period) == 7
+
+
 def test_pell_oracle():
     # independent brute-force Pell oracle for x^2 - 7y^2 = 1
     sols = [(x, y) for y in range(1, 50) for x in range(1, 200)
