@@ -8,10 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import exactnum as xn
 from . import poly as up
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError, RankError, UnsupportedError
 
 Element = tuple[Fraction, ...]
 
@@ -222,20 +223,40 @@ def algebra_from_json(data: dict) -> Algebra:
 
 @dataclass(frozen=True)
 class MultMetric:
-    """A nondegenerate multiplication-invariant symmetric bilinear form."""
+    """A nondegenerate multiplication-invariant symmetric bilinear form.
+
+    Its inverse Gram matrix and symmetry are worked out once, on first use.
+    """
     algebra: Algebra
     gram: xn.Mat
 
     def pairing(self, x, y) -> Fraction:
         return sum(Fraction(xi) * g for xi, g in zip(x, xn.mat_vec(self.gram, y)))
 
-    def validate(self):
-        g = self.gram
+    @cached_property
+    def gram_inv(self) -> xn.Mat:
+        """The inverse Gram matrix, computed once per metric; raises
+        DomainError while the metric is degenerate."""
         n = self.algebra.dim
-        if any(g[i][j] != g[j][i] for i in range(n) for j in range(n)):
+        if len(self.gram) != n or any(len(row) != n for row in self.gram):
+            raise DomainError("metric: the Gram matrix must be dim x dim")
+        try:
+            return xn.rmat_inv(self.gram)
+        except RankError:
+            raise DomainError("metric is degenerate") from None
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """Whether the Gram matrix equals its transpose."""
+        g = self.gram
+        n = len(g)
+        return all(g[i][j] == g[j][i] for i in range(n) for j in range(i))
+
+    def validate(self):
+        n = self.algebra.dim
+        self.gram_inv    # raises DomainError for a misshapen or degenerate metric
+        if not self.symmetric:
             raise DomainError("metric is not symmetric")
-        if xn.det(g) == 0:
-            raise DomainError("metric is degenerate")
         basis = [self.algebra.basis_element(i) for i in range(n)]
         for i in range(n):
             for j in range(n):

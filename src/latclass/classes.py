@@ -224,6 +224,36 @@ def projection_check(order: FullLattice, dec: Decomposition,
     return True
 
 
+def norm_form(mults) -> list[tuple[int, tuple[int, ...]]]:
+    """The integer form N(c) = det(c_1 M_1 + ... + c_m M_m) of degree n in c,
+    for integer n x n matrices M_j, as (coefficient, variables) terms: the
+    term (k, (j_1, ..., j_n)) stands for k * c_j1 * ... * c_jn.
+
+    det is multilinear in the columns, so N is the sum over the n^n choices
+    j_1, ..., j_n of the mixed determinant det(M_j1[:, 1], ..., M_jn[:, n])
+    times c_j1 ... c_jn.  Those determinants are expanded one column at a
+    time: the state after s columns maps (sorted variables chosen, set of rows
+    used) to the summed signed products, so each leading minor is worked out
+    once for all the choices that share it.
+    """
+    n = len(mults[0])
+    states = {((), 0): 1}
+    for s in range(n):
+        nxt = {}
+        for (vars_, rows), acc in states.items():
+            for j, mj in enumerate(mults):
+                key_vars = tuple(sorted(vars_ + (j,)))
+                for r in range(n):
+                    x = mj[r][s]
+                    if x and not rows >> r & 1:
+                        # the rows used before r that lie below it
+                        sign = -1 if bin(rows >> r).count("1") % 2 else 1
+                        key = (key_vars, rows | 1 << r)
+                        nxt[key] = nxt.get(key, 0) + sign * acc * x
+        states = {k: v for k, v in nxt.items() if v}
+    return [(k, vars_) for (vars_, _), k in states.items()]
+
+
 def principal_unit_witness(transporter: FullLattice, source: FullLattice,
                            target: FullLattice, bound: int = 3):
     """Search the transporter for a unit u with u*source == target.
@@ -233,26 +263,27 @@ def principal_unit_witness(transporter: FullLattice, source: FullLattice,
     tried by increasing coefficient sum.  u*source == target forces
     |N(u)| = |det target / det source|, so only candidates of that norm are
     compared: with k*mult_matrix(g_j) = M_j integral, that is
-    |det(sum c_j M_j)| == k^n * |det target / det source|.
+    |det(sum c_j M_j)| == k^n * |det target / det source|, read off the
+    integer norm form of the M_j (norm_form) at c.
     """
     alg = transporter.algebra
     gens = transporter.generators()
     n = len(gens)
     mults = [alg.mult_matrix(g) for g in gens]
     k = xn.denominator_lcm([x for m in mults for x in m])
-    norm = abs(xn.det(target.basis) / xn.det(source.basis)) * k**alg.dim
+    # canonical bases are triangular: each determinant is its diagonal product
+    norm = abs(prod(target.basis[i][i] for i in range(n))
+               / prod(source.basis[i][i] for i in range(n))) * k**n
     if norm.denominator != 1:
         return None
-    mults = [[[int(x * k) for x in row] for row in m] for m in mults]
+    form = norm_form([[[int(x * k) for x in row] for row in m] for m in mults])
     combos = sorted(iproduct(range(-bound, bound + 1), repeat=n),
                     key=lambda c: (sum(abs(x) for x in c), c))
     for coeffs in combos:
-        m = [[sum(c * mj[r][s] for c, mj in zip(coeffs, mults))
-              for s in range(alg.dim)] for r in range(alg.dim)]
-        if abs(xn.det(m)) != norm:
+        if abs(sum(a * prod(coeffs[j] for j in vars_) for a, vars_ in form)) != norm:
             continue
         u = tuple(sum(Fraction(c) * g[i] for c, g in zip(coeffs, gens))
-                  for i in range(alg.dim))
+                  for i in range(n))
         if source.scale(u) == target:
             return u
     return None

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DomainError, RankError
+from .errors import DomainError, RankError, ResourceError
 
 Mat = tuple[tuple, ...]
 
@@ -42,15 +42,26 @@ def gcd_q(q1, q2) -> Fraction:
 # ---------------------------------------------------------------------------
 # small integer arithmetic
 
+# the largest trial divisor factorize tries
+FACTOR_CAP = 10**6
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of |n| by trial division: (prime, exponent) pairs
-    in increasing order of the prime."""
+    in increasing order of the prime.
+
+    Tries divisors up to FACTOR_CAP only: raises ResourceError when what is
+    left of |n| then still exceeds FACTOR_CAP^2, as it may be composite.
+    """
     n = abs(n)
     if n == 0:
         raise DomainError("factorize: zero has no prime factorization")
     out = []
     p = 2
     while p * p <= n:
+        if p > FACTOR_CAP:
+            raise ResourceError(f"factorize: a cofactor of {n.bit_length()} bits "
+                                f"has no prime factor up to the cap of {FACTOR_CAP}")
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -163,15 +174,27 @@ def mat_int(a) -> Mat:
     return tuple(tuple(int(x) for x in row) for row in a)
 
 
-def det(a) -> Fraction:
-    """Determinant by fraction-free Bareiss elimination (exact)."""
+def det(a):
+    """Determinant by fraction-free Bareiss elimination (exact).
+
+    An int for a matrix of ints, which builds no Fractions; otherwise a
+    Fraction, from the integer matrix d*a with d the least common
+    denominator of a.
+    """
     n = len(a)
     if n == 0:
         return Fraction(1)
     if any(len(row) != n for row in a):
         raise DomainError("det: matrix must be square")
+    if all(type(x) is int for row in a for x in row):
+        return _bareiss([list(row) for row in a])
     d = denominator_lcm(a)
-    m = [[int(Fraction(x) * d) for x in row] for row in a]
+    return Fraction(_bareiss([[int(Fraction(x) * d) for x in row] for row in a]), d**n)
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Determinant of the square integer matrix m, which it overwrites."""
+    n = len(m)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -182,13 +205,13 @@ def det(a) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], d**n)
+    return sign * m[n - 1][n - 1]
 
 
 def _rref(m: list[list[Fraction]], ncols: int) -> list[int]:

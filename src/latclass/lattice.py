@@ -5,7 +5,15 @@ making the basis integral, take the column Hermite normal form, divide back
 (exactnum.rational_hnf).  Equality of lattices is equality of canonical
 bases.  A lattice is immutable, so the inverse of its basis, which
 membership, containment, index and the stacked colon all need, is computed
-at most once per lattice.
+at most once per lattice.  So is its dual under the canonical metric, the
+columns of G^-1 (B^-1)^T: the basis inverse B^-1 times the inverse Gram
+matrix G^-1, which each MultMetric computes once (rejecting a degenerate
+metric there).  A lattice keeps the canonical basis of its last dual, and
+under a symmetric metric the dual keeps this lattice's basis, as the dual of
+the dual is the lattice again.  Keeping bases rather than lattices makes no
+reference cycles.  So the metric colon (L1^phi * L2)^phi dualizes each
+operand once, and the order of a colon quotient reuses the product it was
+made from.
 """
 
 from __future__ import annotations
@@ -23,18 +31,29 @@ POWER_CAP = 64
 class FullLattice:
     """Rank-n Z-lattice spanning the algebra over Q, in canonical form."""
 
-    __slots__ = ("algebra", "basis", "_inv", "_order", "_is_order", "_hash")
+    __slots__ = ("algebra", "basis", "_inv", "_dual", "_order", "_is_order", "_hash")
 
     def __init__(self, algebra: Algebra, generators):
         gens = [tuple(Fraction(x) for x in g) for g in generators]
         if not gens or any(len(g) != algebra.dim for g in gens):
             raise DomainError("generators must be coefficient vectors of full length")
+        self._set(algebra, xn.rational_hnf(gens))
+
+    def _set(self, algebra: Algebra, basis: xn.Mat):
         self.algebra = algebra
-        self.basis = xn.rational_hnf(gens)
+        self.basis = basis
         self._inv = None
+        self._dual = None    # (metric, canonical basis of the dual under it)
         self._order = None
         self._is_order = None
         self._hash = None
+
+    @classmethod
+    def _canonical(cls, algebra: Algebra, basis: xn.Mat) -> "FullLattice":
+        """The lattice whose canonical basis is already known."""
+        lat = cls.__new__(cls)
+        lat._set(algebra, basis)
+        return lat
 
     @classmethod
     def from_basis_matrix(cls, algebra, matrix) -> "FullLattice":
@@ -182,25 +201,32 @@ class FullLattice:
 
     # -- duality ---------------------------------------------------------------
     def dual(self, phi: MultMetric | None = None) -> "FullLattice":
-        """Dual lattice under a multiplicative metric (canonical by default)."""
+        """Dual lattice under a multiplicative metric (canonical by default):
+        {x | phi(L, x) in Z}, spanned by the columns of (B^T G)^-1 =
+        G^-1 (B^-1)^T.  Raises DomainError for a degenerate metric."""
         if phi is None:
             phi = canonical_metric(self.algebra)
         if phi.algebra is not self.algebra:
             raise DomainError("metric belongs to a different algebra")
-        if xn.det(phi.gram) == 0:
-            raise DomainError("metric is degenerate")
-        m = xn.mat_mul(xn.transpose(self.basis), phi.gram)
-        return FullLattice.from_basis_matrix(self.algebra, xn.rmat_inv(m))
+        if self._dual is not None and self._dual[0] is phi:
+            return FullLattice._canonical(self.algebra, self._dual[1])
+        m = xn.mat_mul(phi.gram_inv, xn.transpose(self._inverse()))
+        d = FullLattice.from_basis_matrix(self.algebra, m)
+        self._dual = (phi, d.basis)
+        if phi.symmetric:
+            d._dual = (phi, self.basis)
+        return d
 
     # -- orders -----------------------------------------------------------------
     def is_order(self) -> bool:
+        """Whether 1 and the n(n+1)/2 products of basis elements lie in L,
+        tested as one in_basis of the matrix with those columns."""
         if self._is_order is None:
-            ok = self.contains(self.algebra.unit)
-            if ok:
-                gens = self.generators()
-                ok = all(self.contains(self.algebra.mul(a, b))
-                         for a in gens for b in gens)
-            self._is_order = ok
+            alg = self.algebra
+            gens = self.generators()
+            cols = [alg.unit] + [alg.mul(a, b)
+                                 for i, a in enumerate(gens) for b in gens[i:]]
+            self._is_order = xn.mat_is_integral(self.in_basis(xn.from_columns(cols)))
         return self._is_order
 
     def order(self) -> "FullLattice":

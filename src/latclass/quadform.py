@@ -364,16 +364,21 @@ def order_index_of_matrix(m) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # fundamental units and the SL2/GL2 split
 
+# the most continued-fraction steps cf_pell takes before it gives up
+PELL_CAP = 10_000
+
+
 def cf_pell(d: int) -> tuple[int, int, int]:
     """Fundamental solution of x^2 - d y^2 = +-1 by the continued fraction of
-    sqrt(d); returns (x, y, norm)."""
+    sqrt(d); returns (x, y, norm).  Raises ResourceError when the continued
+    fraction needs more than PELL_CAP steps to reach it."""
     if d <= 0 or is_square(d):
         raise DomainError("cf_pell: d must be positive and not a square")
     a0 = isqrt(d)
     m_, d_, a = 0, 1, a0
     h_prev, h = 1, a0
     k_prev, k = 0, 1
-    for _ in range(10_000):
+    for _ in range(PELL_CAP):
         nrm = h * h - d * k * k
         if abs(nrm) == 1:
             return h, k, nrm
@@ -382,7 +387,8 @@ def cf_pell(d: int) -> tuple[int, int, int]:
         a = (a0 + m_) // d_
         h, h_prev = a * h + h_prev, h
         k, k_prev = a * k + k_prev, k
-    raise DomainError("cf_pell: no solution found (should be impossible)")
+    raise ResourceError(f"cf_pell: no solution within the cap of {PELL_CAP} "
+                        f"continued-fraction steps")
 
 
 def fundamental_unit(delta: int) -> tuple[tuple[int, int], int]:

@@ -147,6 +147,9 @@ def test_mult_metric_validation_catches_bad_gram():
     bad = MultMetric(alg, ((1, 0), (0, 0)))
     with pytest.raises(DomainError):
         bad.validate()
+    for gram in (((1, 0), (1, 1)), ((1, 0), (0,)), ((1, 0, 0),)):
+        with pytest.raises(DomainError):     # not symmetric, misshapen
+            MultMetric(alg, gram).validate()
 
 
 def test_algebra_json_round_trip():

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from itertools import product as iproduct
+from math import prod
 from random import Random
 
 import pytest
 
-from _helpers import algebra_for, random_lattice
+from _helpers import POLY_POOL, algebra_for, random_lattice
 from latclass import classes as cl
+from latclass import exactnum as xn
 from latclass.algebra import decompose, mixed_algebra, split_algebra
 from latclass.errors import DomainError, ResourceError
 from latclass.lattice import span
@@ -195,3 +198,67 @@ def test_transporter_on_invertible_pairs():
                 assert t * l1 == l2
                 assert t.order() == l1.order()
                 assert (l1.colon(l2)) * (l2.colon(l1)) == l1.order()
+
+
+def _scaled_mults(transporter):
+    """The integer matrices k*mult_matrix(g_j) of the transporter's generators."""
+    mults = [transporter.algebra.mult_matrix(g) for g in transporter.generators()]
+    k = xn.denominator_lcm([x for m in mults for x in m])
+    return [[[int(x * k) for x in row] for row in m] for m in mults], k
+
+
+def _witness_by_det(transporter, source, target, bound=3):
+    """The former unit-witness search, kept as an oracle: one Bareiss det of
+    the summed integer matrix per candidate."""
+    gens = transporter.generators()
+    n = len(gens)
+    mults, k = _scaled_mults(transporter)
+    norm = abs(xn.det(target.basis) / xn.det(source.basis)) * k**n
+    if norm.denominator != 1:
+        return None
+    combos = sorted(iproduct(range(-bound, bound + 1), repeat=n),
+                    key=lambda c: (sum(abs(x) for x in c), c))
+    for coeffs in combos:
+        m = [[sum(c * mj[r][s] for c, mj in zip(coeffs, mults)) for s in range(n)]
+             for r in range(n)]
+        if abs(xn.det(m)) != norm:
+            continue
+        u = tuple(sum(Fraction(c) * g[i] for c, g in zip(coeffs, gens))
+                  for i in range(n))
+        if source.scale(u) == target:
+            return u
+    return None
+
+
+def test_norm_form_matches_bareiss_on_every_candidate():
+    rng = Random(55)
+    for dim, pairs in ((2, 4), (3, 3), (4, 1)):
+        for coeffs in POLY_POOL[dim][:3]:
+            alg, _ = algebra_for(coeffs)
+            for _ in range(pairs):
+                t = random_lattice(rng, alg).colon(random_lattice(rng, alg))
+                mults, _ = _scaled_mults(t)
+                form = cl.norm_form(mults)
+                assert all(type(a) is int for a, _ in form)
+                for c in iproduct(range(-3, 4), repeat=dim):
+                    m = [[sum(x * mj[r][s] for x, mj in zip(c, mults))
+                          for s in range(dim)] for r in range(dim)]
+                    assert sum(a * prod(c[j] for j in js) for a, js in form) == xn.det(m)
+
+
+def test_unit_witness_matches_det_route():
+    rng = Random(56)
+    found = 0
+    for coeffs in ((5, 0, 1), (-7, 0, 1), (2, 2, 2, 1), (16, 8, 4, 1)):
+        alg, _ = algebra_for(coeffs)
+        pool = [random_lattice(rng, alg, denom_max=2) for _ in range(6)]
+        for l1 in pool:
+            u = tuple(Fraction(rng.randint(-2, 2)) for _ in range(alg.dim))
+            if alg.norm(u) == 0:
+                continue
+            for l2 in pool[:2] + [l1.scale(u)]:
+                t = l2.colon(l1)
+                w = cl.principal_unit_witness(t, l1, l2)
+                assert w == _witness_by_det(t, l1, l2)
+                found += w is not None
+    assert found >= 10

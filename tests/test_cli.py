@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,11 @@ def test_domain_error_exit_2(capsys):
     # a river period longer than quadform.RIVER_CAP forms
     assert main(["quadform", "types", "-a", "1", "-h", "0", "-b", "-1000000007"]) == 2
     assert main(["quadform", "river", "-a", "1", "-h", "0", "-b", "-99999999977"]) == 2
+    # a constant term with no prime factor up to exactnum.FACTOR_CAP
+    start = time.process_time()
+    assert main(["enumerate", "--poly", "t^2+1000000000000000003"]) == 2
+    assert main(["classify", "--matrix", "[[0,-1000000000000000003],[1,0]]"]) == 2
+    assert time.process_time() - start < 4
 
 
 def test_matrix_with_claimed_charpoly(capsys):

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from latclass import exactnum as xn
-from latclass.errors import DomainError, RankError
+from latclass.errors import DomainError, RankError, ResourceError
 
 
 def test_nu_delta_examples():
@@ -292,3 +292,34 @@ def test_complete_to_basis():
         v = xn.complete_to_basis(y)
         assert [row[0] for row in v] == y
         assert abs(xn.det(v)) == 1
+
+
+def test_det_int_path_matches_fraction_path():
+    rng = Random(12)
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:              # singular: a repeated row
+            m[rng.randrange(n)] = list(m[rng.randrange(n)])
+        d = xn.det(m)
+        assert type(d) is int
+        assert d == xn.det(xn.mat_fractions(m))
+        assert type(xn.det(xn.mat_fractions(m))) is Fraction
+    assert xn.det([[2, 1], [Fraction(1, 2), 1]]) == Fraction(3, 2)
+    assert xn.det([[0, 1], [1, 0]]) == -1
+
+
+def test_factorize_cap(monkeypatch):
+    # trial division stops at FACTOR_CAP: what is left below FACTOR_CAP^2 is prime
+    assert xn.factorize(2**5 * 3 * 999_983) == [(2, 5), (3, 1), (999_983, 1)]
+    assert xn.factorize(6 * 1_000_003) == [(2, 1), (3, 1), (1_000_003, 1)]
+    for n in (10**18 + 3, 1_000_003**2):    # a prime and a square above the cap
+        with pytest.raises(ResourceError):
+            xn.factorize(n)
+        with pytest.raises(ResourceError):
+            xn.divisors(n)
+    monkeypatch.setattr(xn, "FACTOR_CAP", 10)
+    assert xn.factorize(2**4 * 7 * 113) == [(2, 4), (7, 1), (113, 1)]
+    assert xn.factorize(3 * 9 * 97) == [(3, 3), (97, 1)]
+    with pytest.raises(ResourceError):
+        xn.factorize(11 * 13)

@@ -6,7 +6,7 @@ import pytest
 from _helpers import POLY_POOL, algebra_for, random_cyclic_order, random_lattice
 from latclass import exactnum as xn
 from latclass import poly as up
-from latclass.algebra import canonical_metric, split_algebra
+from latclass.algebra import MultMetric, canonical_metric, split_algebra
 from latclass.errors import DomainError
 from latclass.lattice import FullLattice, dedekind_chain, index, span
 
@@ -229,3 +229,81 @@ def test_dual_default_metric_and_chain_errors():
     assert lam_f.dual() == lam_f            # canonical metric by default
     with pytest.raises(DomainError):
         dedekind_chain(lam_f.scale(2))      # 1 not in 2*Lambda
+
+
+def _dual_by_inverse(lat, phi):
+    """The former dual route, kept as an oracle: the columns of (B^T G)^-1."""
+    m = xn.mat_mul(xn.transpose(lat.basis), phi.gram)
+    return FullLattice.from_basis_matrix(lat.algebra, xn.rmat_inv(m))
+
+
+def _is_order_by_contains(lat):
+    """The former order test, kept as an oracle: 1 and all n^2 products of
+    basis elements, one contains each."""
+    alg = lat.algebra
+    gens = lat.generators()
+    return lat.contains(alg.unit) and all(lat.contains(alg.mul(a, b))
+                                          for a in gens for b in gens)
+
+
+def test_cached_dual_matches_inverse_route():
+    rng = Random(37)
+    for dim in (2, 3, 4, 5):
+        for coeffs in POLY_POOL[dim]:
+            alg, _ = algebra_for(coeffs)
+            phi = canonical_metric(alg)
+            for _ in range(4):
+                l = random_lattice(rng, alg)
+                d = l.dual()
+                assert d == _dual_by_inverse(l, phi)
+                assert l.dual(phi) == d and l.dual() == d       # from the cache
+                assert d.dual() == l == _dual_by_inverse(d, phi)
+                p = l * random_lattice(rng, alg)
+                assert p.dual(phi) == _dual_by_inverse(p, phi)
+
+
+def test_dual_rejects_degenerate_and_foreign_metrics():
+    alg, _ = algebra_for((2, 2, 2, 1))
+    l = span(alg, [(1, 0, 0), (0, 2, 0), (0, 0, 1)])
+    l.dual()                                    # a cached canonical dual
+    bad = MultMetric(alg, ((1, 0, 0), (0, 0, 0), (0, 0, 1)))
+    for _ in range(2):                          # the failure is not cached
+        with pytest.raises(DomainError, match="degenerate"):
+            l.dual(bad)
+    with pytest.raises(DomainError, match="dim x dim"):
+        l.dual(MultMetric(alg, ((1, 0), (0, 1))))
+    other, _ = algebra_for((5, 0, 1))
+    with pytest.raises(DomainError):
+        l.dual(canonical_metric(other))
+
+
+def test_dual_under_a_second_metric():
+    # a symmetric invariant metric other than the canonical one: c * G
+    alg, _ = algebra_for((16, 8, 4, 1))
+    phi = canonical_metric(alg)
+    psi = MultMetric(alg, tuple(tuple(3 * x for x in row) for row in phi.gram))
+    psi.validate()
+    rng = Random(38)
+    for _ in range(10):
+        l = random_lattice(rng, alg)
+        assert l.dual(psi) == _dual_by_inverse(l, psi) == l.dual(phi).scale(Fraction(1, 3))
+        assert l.dual(phi) == _dual_by_inverse(l, phi)
+        assert l.dual(psi).dual(psi) == l
+
+
+def test_is_order_matches_contains_route():
+    rng = Random(39)
+    orders = non_orders = 0
+    for dim in (2, 3, 4, 5):
+        for coeffs in POLY_POOL[dim]:
+            alg, _ = algebra_for(coeffs)
+            for _ in range(4):
+                l = random_lattice(rng, alg)
+                for lat in (l, l.order(), random_cyclic_order(rng, alg),
+                            l.order() + l, span(alg, l.order().generators() + [alg.unit])):
+                    fresh = FullLattice(alg, lat.generators())
+                    expected = _is_order_by_contains(fresh)
+                    assert fresh.is_order() is expected
+                    orders += expected
+                    non_orders += not expected
+    assert orders > 100 and non_orders > 50

@@ -137,6 +137,18 @@ def test_pell_oracle():
     assert qf.cf_pell(2) == (1, 1, -1)
 
 
+def test_pell_cap(monkeypatch):
+    # sqrt(94) needs 16 continued-fraction steps; one cap fewer is an error
+    monkeypatch.setattr(qf, "PELL_CAP", 16)
+    assert qf.cf_pell(94) == (2143295, 221064, 1)
+    monkeypatch.setattr(qf, "PELL_CAP", 15)
+    with pytest.raises(ResourceError):
+        qf.cf_pell(94)
+    with pytest.raises(ResourceError):
+        qf.fundamental_unit(94)
+    assert qf.cf_pell(61) == (29718, 3805, -1)     # 11 steps
+
+
 def test_classify_types_tables():
     a, b, c = qf.classify_types(QuadForm(1, 0, -7))
     assert a == {QuadForm(2, -2, -3), QuadForm(2, 2, -3), QuadForm(1, 0, -7)}
