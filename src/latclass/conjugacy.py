@@ -180,8 +180,10 @@ def same_class(m1, m2, bound: int = 3):
     """Decide GL_n(Z)-conjugacy where a procedure exists; either matrix may be
     given as its MatrixAnalysis.
 
-    Returns True / False, or None when undecided (the bounded transporter
-    search is sound but incomplete outside the classified families).
+    Returns True / False, or None when undecided.  A family with a complete
+    invariant (families.INVARIANTS) is decided by comparing it; any other
+    pair goes to the bounded transporter search, which is sound but
+    incomplete.
     """
     a1, a2 = analyse(m1), analyse(m2)
     if _integral(a1.charpoly) != _integral(a2.charpoly):
@@ -189,32 +191,9 @@ def same_class(m1, m2, bound: int = 3):
     if not (a1.regular and a2.regular):
         raise DomainError("same_class: matrices must be regular")
     a2.spectrum = a1.spectrum   # one f, so one spectrum for the pair
-    decide = FAMILY_DECIDERS.get(a1.spectrum.tag)
-    if decide is not None:
-        return decide(a1, a2)
+    if a1.invariant is not None:
+        return a1.invariant == a2.invariant
     return epsilon_equivalent_bounded(a1.lattice, a2.lattice, bound)
-
-
-def _decide_quadratic(a1: MatrixAnalysis, a2: MatrixAnalysis) -> bool:
-    from .quadform import matrices_conjugate
-
-    return matrices_conjugate(a1.matrix, a2.matrix)
-
-
-def _same_invariant(a1: MatrixAnalysis, a2: MatrixAnalysis) -> bool:
-    return a1.invariant == a2.invariant
-
-
-# complete decisions in dimension 2 and for the split/jordan/mixed families of
-# dimension 3, keyed by families.spectrum_family tag
-FAMILY_DECIDERS = {
-    "quadratic": _decide_quadratic,   # types IV and V
-    "split2": _same_invariant,        # type III
-    "jordan2": _same_invariant,       # type II
-    "split3": _same_invariant,
-    "jordan3": _same_invariant,
-    "mixed": _same_invariant,
-}
 
 
 def class_product(m1, m2) -> xn.Mat:

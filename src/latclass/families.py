@@ -22,8 +22,9 @@ from typing import NamedTuple
 from . import classes as cl
 from . import exactnum as xn
 from . import poly as up
+from . import quadform as qf
 from .algebra import Algebra, flat3_algebra, mixed_algebra, split_algebra
-from .conjugacy import MatrixAnalysis, algebra_for_poly, analyse, matrix_for
+from .conjugacy import MatrixAnalysis, algebra_for_poly, matrix_for
 from .errors import DomainError, ResourceError
 from .exactnum import gcd_q
 from .lattice import FullLattice, span
@@ -60,33 +61,6 @@ _ROOT_PATTERNS = {
 }
 
 
-def _integer_roots(coeffs: list[int]) -> list[tuple[int, int]]:
-    """The integer roots of the monic integer polynomial with ascending
-    coefficients ``coeffs``, as (root, multiplicity) pairs in increasing order.
-
-    t^k divides it for the k lowest zero coefficients; every other integer
-    root divides the lowest nonzero coefficient, and each root found is
-    divided out (Horner) as often as it goes, which counts its multiplicity.
-    """
-    k = next(i for i, c in enumerate(coeffs) if c)
-    desc = coeffs[k:][::-1]   # descending, t^k divided out
-    roots = [(0, k)] if k else []
-    for d in xn.divisors(desc[-1]):
-        for r in (-d, d):
-            mult = 0
-            while len(desc) > 1:
-                acc = [desc[0]]
-                for c in desc[1:]:
-                    acc.append(acc[-1] * r + c)
-                if acc[-1]:
-                    break
-                desc = acc[:-1]
-                mult += 1
-            if mult:
-                roots.append((r, mult))
-    return sorted(roots)
-
-
 def spectrum_family(f) -> Spectrum:
     """Which closed-form family the monic integer polynomial f belongs to.
 
@@ -100,7 +74,7 @@ def spectrum_family(f) -> Spectrum:
         raise DomainError("expected a monic polynomial with integer coefficients")
     n = up.degree(f)
     # a rational root of a monic integer polynomial is an integer
-    roots = tuple(_integer_roots([int(c) for c in f]))
+    roots = tuple(up.integer_roots([int(c) for c in f]))
     mults = tuple(sorted(mult for _, mult in roots))
     if sum(mults) == n:
         tag = _ROOT_PATTERNS.get((n, mults))
@@ -356,10 +330,6 @@ def split3_invariant(a: MatrixAnalysis) -> tuple:
     return lams, split3_normalize(_transport(a, SPLIT3, SPLIT3.element(lams)))
 
 
-def split3_normal_form_of_matrix(m) -> tuple:
-    return split3_invariant(analyse(m))
-
-
 # ---------------------------------------------------------------------------
 # split family, n = 2
 
@@ -402,10 +372,6 @@ def split2_invariant(a: MatrixAnalysis) -> tuple:
     (lo, _), (hi, _) = _family_roots(a, "split2")
     lat = _transport(a, SPLIT2, SPLIT2.element((hi, lo)))
     return (lo, hi, (hi - lo) * split2_normalize(lat))
-
-
-def split2_normal_matrix(m) -> tuple:
-    return split2_invariant(analyse(m))
 
 
 # ===========================================================================
@@ -470,7 +436,7 @@ def jordan_order_params(order: FullLattice) -> tuple[int, int, int]:
     n2 = int(1 / g22)
     n3 = int(1 / (g33 * n2 * n2))
     n4 = int(g32 * n2**3 * n3)
-    if span(alg, [(1, 0, 0), (0, g22, g32), (0, 0, g33)]) != order:  # pragma: no cover
+    if jordan_lattice_of_triple(g22, g32, g33) != order:  # pragma: no cover
         raise AssertionError("order normal form mismatch")
     return n2, n3, n4
 
@@ -522,10 +488,6 @@ def jordan3_invariant(a: MatrixAnalysis) -> tuple:
     return lam, jordan_normalize(_transport(a, alg, alg.element((lam, 1, 0))))
 
 
-def jordan3_normal_form_of_matrix(m) -> tuple:
-    return jordan3_invariant(analyse(m))
-
-
 def jordan2_invariant(a: MatrixAnalysis) -> tuple:
     """(eigenvalue, m) with representative [[0, m], [0, 0]] after the shift."""
     (lam, _), = _family_roots(a, "jordan2")
@@ -533,10 +495,6 @@ def jordan2_invariant(a: MatrixAnalysis) -> tuple:
     if not any(entries):
         raise DomainError("matrix is scalar, not regular")
     return lam, gcd(*entries)
-
-
-def jordan2_normal_matrix(m) -> tuple:
-    return jordan2_invariant(analyse(m))
 
 
 # ===========================================================================
@@ -733,15 +691,12 @@ def mixed_invariant(a: MatrixAnalysis) -> tuple:
     return (double, single), mixed_normalize(lat)
 
 
-def mixed_normal_form_of_matrix(m) -> tuple:
-    return mixed_invariant(analyse(m))
-
-
 # the complete conjugacy invariant of a matrix (MatrixAnalysis.invariant),
-# per spectrum_family tag
+# per spectrum_family tag: the families that same_class decides exactly
 INVARIANTS = {
-    "split2": split2_invariant,
-    "jordan2": jordan2_invariant,
+    "quadratic": lambda a: qf.gl2_invariant(a.matrix),   # types IV and V
+    "split2": split2_invariant,                          # type III
+    "jordan2": jordan2_invariant,                        # type II
     "split3": split3_invariant,
     "jordan3": jordan3_invariant,
     "mixed": mixed_invariant,
@@ -1003,21 +958,17 @@ def split202m2_tables() -> dict[str, str]:
     for rec in classes:
         name = SPLIT_NAME_BY_TRIPLE[tuple(rec["triple"])]
         by_name[name] = rec
-    order_params = [(1, 1, 0), (1, 2, 0), (2, 1, 0), (2, 1, 1), (2, 2, 0),
-                    (4, 1, 1), (4, 2, 2), (8, 2, -2)]
-    lines = ["order\tunits\tbetas\tunits_big\tunits_small\tgroup_size"]
-    for a1, a2, a3 in order_params:
-        row = _split3_unit_row(SplitOrderParams(a1, a2, a3))
-        lines.append("\t".join([f"O{a1}{a2}{a3}".replace("-", "m")] +
-                               [str(v) for v in row]))
-    t42 = "\n".join(lines)
-
-    lines = ["order\ta\tb\tc\td\tmu\tt\ttau"]
-    for a1, a2, a3 in order_params:
-        d = split3_tau(SplitOrderParams(a1, a2, a3))
-        lines.append("\t".join([f"O{a1}{a2}{a3}".replace("-", "m")] +
-                               [str(v) for v in (d.a, d.b, d.c, d.d, d.mu, d.t, d.tau)]))
-    t43 = "\n".join(lines)
+    order_lines = ["order\tunits\tbetas\tunits_big\tunits_small\tgroup_size"]
+    tau_lines = ["order\ta\tb\tc\td\tmu\tt\ttau"]
+    for a1, a2, a3 in SPLIT_FIXTURE_PARAMS.values():
+        p = SplitOrderParams(a1, a2, a3)
+        label = f"O{a1}{a2}{a3}".replace("-", "m")
+        d = split3_tau(p)
+        tau_row = (d.a, d.b, d.c, d.d, d.mu, d.t, d.tau)
+        order_lines.append("\t".join([label] + [str(v) for v in _split3_unit_row(p)]))
+        tau_lines.append("\t".join([label] + [str(v) for v in tau_row]))
+    t42 = "\n".join(order_lines)
+    t43 = "\n".join(tau_lines)
 
     lines = ["name\ttriple\tmatrix"]
     for name in SPLIT_FIXTURE_ORDER:

@@ -232,20 +232,31 @@ def _int_coeffs(f: Poly) -> tuple[list[int], int]:
     return [int(c) for c in g], m
 
 
-def _rational_roots(g: list[int]) -> list[Fraction]:
-    """Rational roots of an integer polynomial (ascending coefficients)."""
-    c0 = next(c for c in g if c != 0)
-    lead = g[-1]
-    roots = []
-    zero_mult = next(i for i, c in enumerate(g) if c != 0)
-    if zero_mult:
-        roots.append(Fraction(0))
-    for p in xn.divisors(c0):
-        for q in xn.divisors(lead):
-            for r in (Fraction(p, q), Fraction(-p, q)):
-                if evaluate(poly(g), r) == 0 and r not in roots:
-                    roots.append(r)
-    return roots
+def integer_roots(coeffs: list[int]) -> list[tuple[int, int]]:
+    """The integer roots of the monic integer polynomial with ascending
+    coefficients ``coeffs``, as (root, multiplicity) pairs in increasing order.
+
+    t^k divides it for the k lowest zero coefficients; every other integer
+    root divides the lowest nonzero coefficient, and each root found is
+    divided out (Horner) as often as it goes, which counts its multiplicity.
+    """
+    k = next(i for i, c in enumerate(coeffs) if c)
+    desc = coeffs[k:][::-1]   # descending, t^k divided out
+    roots = [(0, k)] if k else []
+    for d in xn.divisors(desc[-1]):
+        for r in (-d, d):
+            mult = 0
+            while len(desc) > 1:
+                acc = [desc[0]]
+                for c in desc[1:]:
+                    acc.append(acc[-1] * r + c)
+                if acc[-1]:
+                    break
+                desc = acc[:-1]
+                mult += 1
+            if mult:
+                roots.append((r, mult))
+    return sorted(roots)
 
 
 def _kronecker_factor(h: Poly) -> Poly | None:
@@ -288,14 +299,12 @@ def _factor_squarefree_monic_int(g: Poly) -> list[Poly]:
     if degree(g) > MAX_FACTOR_DEGREE:
         raise UnsupportedError(f"unsupported degree {degree(g)} > {MAX_FACTOR_DEGREE}")
     factors = []
-    for r in _rational_roots([int(c) for c in g]):
+    # g is monic with integer coefficients, so its rational roots are integers
+    for r, mult in integer_roots([int(c) for c in g]):
         lin = poly([-r, 1])
-        while True:
-            quo, rem = divmod_poly(g, lin)
-            if rem:
-                break
+        for _ in range(mult):
             factors.append(lin)
-            g = quo
+            g = divexact(g, lin)
     while degree(g) >= 2:
         k = _kronecker_factor(g)
         if k is None:

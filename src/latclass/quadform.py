@@ -211,8 +211,9 @@ def _least_rotation(seq) -> int:
     return i
 
 
-def river(f: QuadForm) -> RiverCycle:
-    """Walk one period of the Conway river of an indefinite nonsquare form."""
+def _river_period(f: QuadForm) -> tuple[QuadForm, ...]:
+    """The forms of one river period of an indefinite nonsquare form, from
+    the canonical start."""
     f = QuadForm(*map(int, f))
     four_d = f.four_disc()
     if four_d <= 0 or is_square(four_d):
@@ -225,7 +226,12 @@ def river(f: QuadForm) -> RiverCycle:
     orbit = _river_orbit(f0)
     # canonical period start: lexicographically minimal rotation
     k = _least_rotation(orbit)
-    orbit = orbit[k:] + orbit[:k]
+    return tuple(orbit[k:] + orbit[:k])
+
+
+def river(f: QuadForm) -> RiverCycle:
+    """Walk one period of the Conway river of an indefinite nonsquare form."""
+    orbit = _river_period(f)
     moves = []
     autom = xn.identity(2)
     state = orbit[0]
@@ -237,7 +243,7 @@ def river(f: QuadForm) -> RiverCycle:
         raise AssertionError("automorph accumulation did not close the period")
     seed = matrix_of_form(orbit[0], orbit[0].h & 1)
     delta, unit = _unit_from_automorph(autom, seed)
-    return RiverCycle(tuple(orbit), tuple(moves), autom, seed, delta, unit)
+    return RiverCycle(orbit, tuple(moves), autom, seed, delta, unit)
 
 
 def _unit_from_automorph(p, seed) -> tuple[int, tuple[int, int]]:
@@ -301,15 +307,26 @@ def proper_class_equal(f1: QuadForm, f2: QuadForm) -> bool:
 def sl2_conjugate(m1, m2) -> bool:
     """SL2(Z)-conjugacy of integer matrices with the same irreducible
     characteristic polynomial."""
-    if _sl2_key(m1)[0] != _sl2_key(m2)[0]:  # pragma: no cover - same charpoly
+    k1, k2 = _sl2_key(m1), _sl2_key(m2)
+    if k1[0] != k2[0]:  # pragma: no cover - same charpoly
         raise DomainError("matrices have different discriminant signs")
-    return _sl2_key(m1) == _sl2_key(m2)
+    return k1 == k2
+
+
+def gl2_invariant(m):
+    """Complete GL2(Z)-conjugacy invariant in the irreducible quadratic case.
+
+    The GL2 class of m is the SL2 class of m joined with that of its
+    orientation flip, and distinct GL2 classes share no SL2 class, so the
+    lesser of the two SL2 keys names the GL2 class.
+    """
+    return min(_sl2_key(m), _sl2_key(_conj_flip(m)))
 
 
 def matrices_conjugate(m1, m2) -> bool:
     """GL2(Z)-conjugacy for the irreducible quadratic case: proper equivalence
     of the forms, or proper equivalence after the orientation flip."""
-    return sl2_conjugate(m1, m2) or sl2_conjugate(m1, _conj_flip(m2))
+    return gl2_invariant(m1) == gl2_invariant(m2)
 
 
 # ---------------------------------------------------------------------------
@@ -456,35 +473,22 @@ def _sl2_key(m):
     f = form_of_matrix(m)
     if f.four_disc() < 0:
         return ("v", legendre_reduce(m))
-    return ("iv", river(f).period)
+    return ("iv", _river_period(f))
 
 
 def gl2_classes(r: int, s: int) -> list[dict]:
     """GL2-conjugacy classes of integer matrices with trace r, det s
     (irreducible case), each with its SL2 split and window members."""
-    members = enumerate_m(r, s)
-    sl2_groups: dict = {}
-    for m in members:
-        sl2_groups.setdefault(_sl2_key(m), []).append(m)
-    merged: list[dict] = []
-    used = set()
-    for key, group in sl2_groups.items():
-        if key in used:
-            continue
-        used.add(key)
-        mirror_key = _sl2_key(_conj_flip(group[0]))
-        sl2_count = 1
-        all_members = list(group)
-        if mirror_key != key:
-            used.add(mirror_key)
-            sl2_count = 2
-            all_members += sl2_groups.get(mirror_key, [])
-        rep = sorted(all_members, key=lambda m: (m[1][0] <= 0, m))[0]
-        merged.append({
-            "representative": rep,
-            "sl2_classes": sl2_count,
-            "members": sorted(all_members),
-        })
+    groups: dict = {}
+    for m in enumerate_m(r, s):
+        # the SL2 classes of m and of its flip make up its GL2 class; the
+        # lesser one is gl2_invariant(m)
+        keys = (_sl2_key(m), _sl2_key(_conj_flip(m)))
+        groups.setdefault(min(keys), (len(set(keys)), []))[1].append(m)
+    merged = [{"representative": min(members, key=lambda m: (m[1][0] <= 0, m)),
+               "sl2_classes": sl2_count,
+               "members": sorted(members)}
+              for sl2_count, members in groups.values()]
     merged.sort(key=lambda rec: rec["representative"])
     return merged
 

@@ -9,7 +9,7 @@ from latclass import classes as cl
 from latclass import exactnum as xn
 from latclass import families as fam
 from latclass import poly as up
-from latclass.conjugacy import algebra_for_poly
+from latclass.conjugacy import algebra_for_poly, analyse
 from latclass.errors import DomainError, ResourceError
 from latclass.lattice import FullLattice, span
 
@@ -230,7 +230,7 @@ def test_split3_normal_form_of_matrix_separates_the_six():
         ((2, 2, 0), (0, -2, 0), (0, 0, 0)),
         ((0, 0, 0), (1, 0, 4), (0, 1, 0)),
     ]
-    forms = [fam.split3_normal_form_of_matrix(m) for m in ms]
+    forms = [analyse(m).invariant for m in ms]
     assert len(set(forms)) == 6
 
 
@@ -242,12 +242,12 @@ def test_split2():
     l = span(fam.SPLIT2, [(1, 0), (F(1, 3), 1)])
     assert fam.split2_order_params(l.order()) == 3
     m = ((2, 2), (0, -2))
-    assert fam.split2_normal_matrix(m) == (-2, 2, 2)
+    assert analyse(m).invariant == (-2, 2, 2)
     m2 = ((0, 4), (1, 0))
-    assert fam.split2_normal_matrix(m2) == (-2, 2, 1)
+    assert analyse(m2).invariant == (-2, 2, 1)
     # a known conjugate pair: [[2,1],[0,-2]] and [[0,4],[1,0]]
-    assert fam.split2_normal_matrix(((2, 1), (0, -2))) == \
-        fam.split2_normal_matrix(((0, 4), (1, 0)))
+    assert analyse(((2, 1), (0, -2))).invariant == \
+        analyse(((0, 4), (1, 0))).invariant
 
 
 # ---------------------------------------------------------------------------
@@ -315,18 +315,17 @@ def test_jordan_normal_form_of_matrix_round_trip():
         m = rec["matrix"]
         u = random_unimodular(3, rng)
         conj = xn.mat_mul(xn.mat_mul(xn.unimodular_inverse(u), m), u)
-        assert fam.jordan3_normal_form_of_matrix(conj) == \
-            fam.jordan3_normal_form_of_matrix(m)
+        assert analyse(conj).invariant == analyse(m).invariant
     # distinct classes separate
-    forms = {fam.jordan3_normal_form_of_matrix(r["matrix"])
+    forms = {analyse(r["matrix"]).invariant
              for r in fam.jordan_enumerate(2, 6, 1)}
     assert len(forms) == 4
 
 
 def test_jordan2():
-    assert fam.jordan2_normal_matrix(((3, 4), (-1, 7))) == (5, 1)
-    assert fam.jordan2_normal_matrix(((0, 6), (0, 0))) == (0, 6)
-    assert fam.jordan2_normal_matrix(((2, 4), (-1, 6))) == (4, 1)
+    assert analyse(((3, 4), (-1, 7))).invariant == (5, 1)
+    assert analyse(((0, 6), (0, 0))).invariant == (0, 6)
+    assert analyse(((2, 4), (-1, 6))).invariant == (4, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +475,7 @@ def test_mixed_enumerate_and_w_classification():
 
 def test_mixed_normal_form_of_matrix():
     m = fam.mixed_matrix(F(0), F(1, 2), F(0), 4)
-    lams, triple = fam.mixed_normal_form_of_matrix(m)
+    lams, triple = analyse(m).invariant
     assert lams == (0, 4)
     assert triple == (0, F(1, 2), 0)
     rng = Random(65)
@@ -484,7 +483,7 @@ def test_mixed_normal_form_of_matrix():
     from latclass import exactnum as xn
     u = random_unimodular(3, rng)
     conj = xn.mat_mul(xn.mat_mul(xn.unimodular_inverse(u), m), u)
-    assert fam.mixed_normal_form_of_matrix(conj) == (lams, triple)
+    assert analyse(conj).invariant == (lams, triple)
 
 
 # ---------------------------------------------------------------------------

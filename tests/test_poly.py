@@ -97,7 +97,7 @@ def test_factor_rationals_reconstructs_and_no_rational_roots():
             if up.degree(g) >= 2:
                 # no rational root; for degree <= 3 that proves irreducibility
                 ints, _ = up._int_coeffs(g)
-                assert not up._rational_roots(ints)
+                assert not up.integer_roots(ints)
         assert prod == f
 
 

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from latclass import conjugacy as cj
 from latclass import exactnum as xn
 from latclass import quadform as qf
 from latclass.errors import DomainError, ResourceError
@@ -252,6 +253,102 @@ def test_gl2_classes_t2_minus_7():
     classes = qf.gl2_classes(0, -7)
     assert len(classes) == 1
     assert classes[0]["sl2_classes"] == 2
+
+
+# ---------------------------------------------------------------------------
+# oracles: the two-call GL2 decision and the SL2-first class grouping, with
+# each SL2 key taken from the full river walk
+
+def _flip(m):
+    (a, b), (c, d) = m
+    return ((a, -b), (-c, d))
+
+
+def _oracle_sl2_key(m):
+    f = qf.form_of_matrix(m)
+    if f.four_disc() < 0:
+        return ("v", qf.legendre_reduce(m))
+    return ("iv", qf.river(f).period)
+
+
+def _oracle_gl2_conjugate(m1, m2):
+    k1 = _oracle_sl2_key(m1)
+    return k1 == _oracle_sl2_key(m2) or k1 == _oracle_sl2_key(_flip(m2))
+
+
+def _oracle_gl2_classes(r, s):
+    sl2_groups = {}
+    for m in qf.enumerate_m(r, s):
+        sl2_groups.setdefault(_oracle_sl2_key(m), []).append(m)
+    merged, used = [], set()
+    for key, group in sl2_groups.items():
+        if key in used:
+            continue
+        used.add(key)
+        mirror_key = _oracle_sl2_key(_flip(group[0]))
+        sl2_count, members = 1, list(group)
+        if mirror_key != key:
+            used.add(mirror_key)
+            sl2_count = 2
+            members += sl2_groups.get(mirror_key, [])
+        rep = sorted(members, key=lambda m: (m[1][0] <= 0, m))[0]
+        merged.append({"representative": rep, "sl2_classes": sl2_count,
+                       "members": sorted(members)})
+    merged.sort(key=lambda rec: rec["representative"])
+    return merged
+
+
+def test_gl2_invariant_matches_the_two_call_oracle():
+    rng = Random(2027)
+    seen = {}
+    pairs = 0
+    while pairs < 2000:
+        m = tuple(tuple(rng.randint(-7, 7) for _ in range(2)) for _ in range(2))
+        (a, b), (c, d) = m
+        four_d = (a - d) ** 2 + 4 * b * c
+        if qf.is_square(four_d):
+            continue
+        kind = rng.choice(("unimodular", "companion", "window"))
+        if kind == "unimodular":
+            u = cj.random_unimodular(2, rng)
+            other = xn.mat_mul(xn.mat_mul(xn.unimodular_inverse(u), m), u)
+        elif kind == "companion":
+            other = ((0, -(a * d - b * c)), (1, a + d))
+        else:
+            window = qf.enumerate_m(a + d, a * d - b * c)
+            if not window:
+                continue
+            other = rng.choice(window)
+        pairs += 1
+        expected = _oracle_gl2_conjugate(m, other)
+        assert (qf.gl2_invariant(m) == qf.gl2_invariant(other)) == expected
+        assert qf.matrices_conjugate(m, other) == expected
+        assert qf.sl2_conjugate(m, other) == \
+            (_oracle_sl2_key(m) == _oracle_sl2_key(other))
+        assert cj.same_class(m, other) is expected
+        assert cj.analyse(m).invariant == qf.gl2_invariant(m)
+        key = (kind, four_d > 0, expected)
+        seen[key] = seen.get(key, 0) + 1
+    # unimodular partners are always conjugate; the other two kinds give
+    # both answers, for definite and for indefinite forms
+    assert not any(k[0] == "unimodular" and not k[2] for k in seen)
+    for kind in ("companion", "window"):
+        for indefinite in (False, True):
+            for expected in (False, True):
+                assert seen.get((kind, indefinite, expected), 0) >= 20, seen
+    for indefinite in (False, True):
+        assert seen.get(("unimodular", indefinite, True), 0) >= 100, seen
+
+
+def test_gl2_classes_match_the_sl2_first_grouping():
+    count = 0
+    for r in range(-6, 7):
+        for s in range(-40, 41):
+            if qf.is_square(r * r - 4 * s):
+                continue
+            count += 1
+            assert qf.gl2_classes(r, s) == _oracle_gl2_classes(r, s), (r, s)
+    assert count == 962
 
 
 def test_gauss_form_rebuild_formula():
