@@ -143,13 +143,13 @@ def cyclic_algebra(f) -> tuple[Algebra, Element]:
     if not up.is_monic(f) or up.degree(f) < 1:
         raise DomainError("cyclic_algebra: polynomial must be monic of degree >= 1")
     n = up.degree(f)
-    structure = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            prod = up.mod(up.shift(up.constant(1), i + j), f)
-            plane.append(tuple(prod[k] if k < len(prod) else Fraction(0) for k in range(n)))
-        structure.append(tuple(plane))
+    # t^k mod f for k < 2n - 1: t times p is p shifted up one place, less
+    # its top coefficient times the monic f
+    powers = [tuple(Fraction(int(i == k)) for i in range(n)) for k in range(n)]
+    for _ in range(n - 1):
+        p = powers[-1]
+        powers.append(tuple((p[i - 1] if i else 0) - p[-1] * f[i] for i in range(n)))
+    structure = [[powers[i + j] for j in range(n)] for i in range(n)]
     unit = [1] + [0] * (n - 1)
     gen = [0, 1] + [0] * (n - 2) if n >= 2 else [-f[0]]
     alg = Algebra(structure, unit, label=f"Q[t]/({up.to_string(f)})", family="cyclic",
@@ -274,13 +274,10 @@ def canonical_metric(alg: Algebra) -> MultMetric:
     if alg.family != "cyclic" or alg.defining_poly is None:
         raise UnsupportedError("canonical_metric: algebra is not in cyclic presentation")
     if alg._metric is None:
+        # g^i g^j = g^(i+j) mod f is the structure row (i, j)
         n = alg.dim
-        f = alg.defining_poly
-        lvals = []
-        for m in range(2 * n - 1):
-            r = up.mod(up.shift(up.constant(1), m), f)
-            lvals.append(r[n - 1] if len(r) >= n else Fraction(0))
-        gram = tuple(tuple(lvals[i + j] for j in range(n)) for i in range(n))
+        gram = tuple(tuple(alg.structure[i][j][n - 1] for j in range(n))
+                     for i in range(n))
         alg._metric = MultMetric(alg, gram)
     return alg._metric
 

@@ -141,7 +141,8 @@ def _info_quadratic(a: cj.MatrixAnalysis) -> dict:
     form = qf.form_of_matrix(a.matrix)
     info = {"family": "quadratic", "form": list(form)}
     if form.four_disc() > 0:
-        info["river_period"] = [list(f) for f in qf.river(form).period]
+        # the river period is the SL2 key, which the invariant reuses
+        info["river_period"] = [list(f) for f in a.memo(qf.sl2_key)[1]]
     return info
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from math import prod
 from random import Random
 
 from . import exactnum as xn
@@ -37,17 +38,26 @@ def algebra_for_poly(f) -> tuple[Algebra, tuple]:
     return alg, alg.generator
 
 
-def is_regular(m) -> bool:
-    """True iff the minimal polynomial equals the characteristic polynomial,
-    i.e. I, m, ..., m^(n-1) are linearly independent: the Gram determinant of
-    these powers, each flattened to a vector of n^2 entries, is nonzero."""
+def _flat_powers(m) -> list[list]:
+    """I, m, ..., m^(n-1), each flattened row by row to a vector of n^2 entries."""
     n = len(m)
     power = xn.identity(n)
     vecs = [[x for row in power for x in row]]
     for _ in range(n - 1):
         power = xn.mat_mul(power, m)
         vecs.append([x for row in power for x in row])
+    return vecs
+
+
+def _independent(vecs) -> bool:
     return xn.det(xn.mat_mul(vecs, xn.transpose(vecs))) != 0
+
+
+def is_regular(m) -> bool:
+    """True iff the minimal polynomial equals the characteristic polynomial,
+    i.e. I, m, ..., m^(n-1) are linearly independent: the Gram determinant of
+    these powers, each flattened to a vector of n^2 entries, is nonzero."""
+    return _independent(_flat_powers(m))
 
 
 def _integral(f: up.Poly) -> up.Poly:
@@ -58,14 +68,24 @@ def _integral(f: up.Poly) -> up.Poly:
 
 class MatrixAnalysis:
     """What the correspondence reads off one square matrix, each computed
-    once: the characteristic polynomial f, regularity, and on first use the
-    spectrum family of f (a families.Spectrum), the full lattice in Q[t]/(f)
-    and the complete invariant of a closed-form family."""
+    once: the characteristic polynomial f, the flattened powers I, m, ...,
+    m^(n-1) and regularity, and on first use the spectrum family of f (a
+    families.Spectrum), the full lattice in Q[t]/(f) and the complete
+    invariant of a closed-form family."""
 
     def __init__(self, m):
         self.matrix = m
         self.charpoly = up.charpoly(m)
-        self.regular = is_regular(m)
+        self.powers = _flat_powers(m)
+        self.regular = _independent(self.powers)
+        self._memo = {}
+
+    def memo(self, fn):
+        """fn(matrix), computed at most once per analysis: family data that
+        both the invariant and the classify output read."""
+        if fn not in self._memo:
+            self._memo[fn] = fn(self.matrix)
+        return self._memo[fn]
 
     @cached_property
     def spectrum(self):
@@ -92,44 +112,85 @@ def analyse(m) -> MatrixAnalysis:
 
 
 def cyclic_generator(m, seed: int = 0) -> tuple:
-    """A vector whose Krylov orbit under m is a basis (exists iff m is regular)."""
+    """An integer vector whose Krylov orbit under the integer matrix m is a
+    basis (exists iff m is regular)."""
     n = len(m)
-    mf = xn.mat_fractions(m)
-    candidates = [tuple(Fraction(1 if i == j else 0) for i in range(n))
-                  for j in range(n)]
+    candidates = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     rng = Random(seed)
     for _ in range(200):
         for v in candidates:
-            k = _krylov(mf, v)
-            if xn.det(k) != 0:
+            if xn.det(_krylov(m, v)) != 0:
                 return v
-        candidates = [tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))]
+        candidates = [tuple(rng.randint(-3, 3) for _ in range(n))]
     raise DomainError("no cyclic generator found; matrix is not regular")
 
 
-def _krylov(mf, v) -> xn.Mat:
-    n = len(mf)
+def _krylov(m, v) -> xn.Mat:
+    """The matrix with columns v, m v, ..., m^(n-1) v."""
     cols = [v]
-    for _ in range(n - 1):
-        cols.append(xn.mat_vec(mf, cols[-1]))
+    for _ in range(len(m) - 1):
+        cols.append(xn.mat_vec(m, cols[-1]))
     return xn.from_columns(cols)
 
 
 def matrix_to_lattice(m) -> FullLattice:
     """The full lattice of a regular integer matrix, inside Q[t]/(charpoly);
-    m may be a MatrixAnalysis, whose f and regularity are then reused."""
+    m may be a MatrixAnalysis, whose f, powers and regularity are then
+    reused.
+
+    With K the Krylov matrix of a cyclic generator, p(t) -> p(m) v maps
+    Q[t]/(f) onto Q^n and t to m, so the lattice is K^-1 Z^n.  K^-1 is the
+    adjugate over det K by Cayley-Hamilton: with det(x I - K) = x^n +
+    c_(n-1) x^(n-1) + ... + c_0, K^-1 = -(K^(n-1) + c_(n-1) K^(n-2) + ... +
+    c_1 I) / c_0.  The order of the lattice is read off m on first use
+    (centralizer_order).
+    """
     a = analyse(m)
     if not a.regular:
         raise DomainError("matrix_to_lattice: matrix is not regular")
     alg, t = algebra_for_poly(_integral(a.charpoly))
-    v = cyclic_generator(a.matrix)
-    k = _krylov(xn.mat_fractions(a.matrix), v)
-    lat = FullLattice.from_basis_matrix(alg, xn.rmat_inv(k))
+    mi = xn.mat_int(a.matrix)
+    k = _krylov(mi, cyclic_generator(mi))
+    c = [int(x) for x in up.charpoly(k)]
+    adj = xn.identity(len(k))
+    for ci in reversed(c[1:-1]):
+        adj = xn.add_scalar(xn.mat_mul(k, adj), ci)
+    lat = FullLattice.from_basis_matrix(
+        alg, [[Fraction(x, -c[0]) for x in row] for row in adj])
     # the order of lat contains Z[t] iff t*lat lies in lat
-    t_lat = lat.in_basis(xn.mat_mul(alg.mult_matrix(t), lat.basis))
-    if not xn.mat_is_integral(t_lat):  # pragma: no cover - theorem
+    if _on_canonical_basis(lat, t) is None:  # pragma: no cover - theorem
         raise AssertionError("constructed lattice is not stable under t")
+    lat.defer_order(partial(centralizer_order, alg, a.powers))
     return lat
+
+
+def centralizer_order(alg: Algebra, powers) -> FullLattice:
+    """The order {sum c_i t^i : sum c_i m^i integral} of the lattice of a
+    regular integer matrix m in alg = Q[t]/(f) (Latimer-MacDuffee), from the
+    flattened powers I, m, ..., m^(n-1).
+
+    Those c are the vectors with an integral dot product with each of the
+    n^2 rows (I[r][s], m[r][s], ..., m^(n-1)[r][s]) of the power matrix: the
+    standard dual of the lattice those rows span.  With H its upper
+    triangular HNF basis, that dual is spanned by the rows of H^-1 =
+    adj(H) / det H, and adj(H) solves H y = det(H) I by back-substitution.
+    """
+    n = len(powers)
+    h = xn.hnf(tuple(tuple(int(x) for x in vec) for vec in powers))
+    d = prod(h[i][i] for i in range(n))
+    adj = xn.solve_upper(h, xn.identity(n, d))
+    return FullLattice(alg, [tuple(Fraction(x, d) for x in row) for row in adj])
+
+
+def _on_canonical_basis(lat: FullLattice, x) -> xn.Mat | None:
+    """The integer matrix of multiplication by x on the canonical basis of
+    lat, or None when it is not integral.  With H = d*basis the integer
+    canonical basis, the matrix r solves H r = X H for X the multiplication
+    matrix of x in the algebra basis; with k the common denominator of X,
+    H r = (k X H) / k is solved by integer back-substitution."""
+    h, _ = xn.clear_denominators(lat.basis)
+    kx, k = xn.clear_denominators(lat.algebra.mult_matrix(x))
+    return xn.solve_upper(h, xn.mat_mul(kx, h), k)
 
 
 def matrix_for(lat: FullLattice, x, basis=None) -> xn.Mat:
@@ -139,18 +200,22 @@ def matrix_for(lat: FullLattice, x, basis=None) -> xn.Mat:
     generator when the lattice is not stable under x.
     """
     alg = lat.algebra
-    b = xn.mat_fractions(basis) if basis is not None else lat.basis
-    if basis is not None and FullLattice.from_basis_matrix(alg, b) != lat:
-        raise DomainError("matrix_for: given basis does not span the lattice")
-    xb = xn.mat_mul(alg.mult_matrix(x), b)
-    out = lat.in_basis(xb) if basis is None else xn.mat_mul(xn.rmat_inv(b), xb)
-    if not xn.mat_is_integral(out):
+    if basis is None:
+        b = lat.basis
+        out = _on_canonical_basis(lat, x)
+    else:
+        b = xn.mat_fractions(basis)
+        if FullLattice.from_basis_matrix(alg, b) != lat:
+            raise DomainError("matrix_for: given basis does not span the lattice")
+        out = xn.mat_mul(xn.rmat_inv(b), xn.mat_mul(alg.mult_matrix(x), b))
+        out = xn.mat_int(out) if xn.mat_is_integral(out) else None
+    if out is None:
         for g in xn.columns(b):
             if alg.mul(x, g) not in lat:
                 raise DomainError(
                     f"lattice is not stable under the element: witness generator {g}")
         raise DomainError("lattice is not stable under the element")
-    return xn.mat_int(out)
+    return out
 
 
 def lattice_to_matrix(lat: FullLattice, basis=None) -> xn.Mat:

@@ -174,6 +174,35 @@ def mat_int(a) -> Mat:
     return tuple(tuple(int(x) for x in row) for row in a)
 
 
+def clear_denominators(a) -> tuple[Mat, int]:
+    """(d*a, d) for the least d > 0 that makes the matrix a of ints and
+    Fractions integral."""
+    d = 1
+    for row in a:
+        for x in row:
+            d = lcm(d, x.denominator)
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                 for row in a), d
+
+
+def solve_upper(h, b, den: int = 1) -> Mat | None:
+    """The integer matrix y with h*y = b/den, by back-substitution, for an
+    upper triangular integer h with nonzero diagonal and an integer b; None
+    when y is not integral (a division leaves a remainder)."""
+    n = len(h)
+    cols = []
+    for col in columns(b):
+        y = [0] * n
+        for i in range(n - 1, -1, -1):
+            hi = h[i]
+            rest = sum(hi[k] * y[k] for k in range(i + 1, n))
+            y[i], r = divmod(col[i] - den * rest, den * hi[i])
+            if r:
+                return None
+        cols.append(y)
+    return from_columns(cols)
+
+
 def det(a):
     """Determinant by fraction-free Bareiss elimination (exact).
 

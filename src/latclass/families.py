@@ -694,7 +694,8 @@ def mixed_invariant(a: MatrixAnalysis) -> tuple:
 # the complete conjugacy invariant of a matrix (MatrixAnalysis.invariant),
 # per spectrum_family tag: the families that same_class decides exactly
 INVARIANTS = {
-    "quadratic": lambda a: qf.gl2_invariant(a.matrix),   # types IV and V
+    # types IV and V; classify prints the river period of the shared SL2 key
+    "quadratic": lambda a: qf.gl2_invariant(a.matrix, a.memo(qf.sl2_key)),
     "split2": split2_invariant,                          # type III
     "jordan2": jordan2_invariant,                        # type II
     "split3": split3_invariant,

@@ -44,7 +44,7 @@ class FullLattice:
         self.basis = basis
         self._inv = None
         self._dual = None    # (metric, canonical basis of the dual under it)
-        self._order = None
+        self._order = None   # O(L), or the function defer_order gave
         self._is_order = None
         self._hash = None
 
@@ -230,15 +230,29 @@ class FullLattice:
         return self._is_order
 
     def order(self) -> "FullLattice":
-        """The order of this lattice, O(L) = L : L."""
-        if self._order is None:
-            o = self.colon(self)
+        """The order of this lattice, O(L) = L : L, or the lattice that
+        defer_order named, computed and validated on first use."""
+        o = self._order
+        if not isinstance(o, FullLattice):
+            o = self.colon(self) if o is None else o()
             if not o.is_order():  # pragma: no cover - would be an internal bug
-                raise AssertionError("L:L failed order validation")
+                raise AssertionError("the order of a lattice failed validation")
             self._order = o
-        return self._order
+        return o
+
+    def defer_order(self, compute):
+        """Let order() take O(L) from compute() in place of L : L, for a
+        lattice whose order another route reads off more cheaply."""
+        if self._order is None:
+            self._order = compute
 
     def is_invertible(self) -> bool:
+        """Whether L * (O(L) : L) = O(L).  Always so in rank <= 2: an order of
+        rank 2 is Z[x] for any x completing 1 to a basis, so it is monogenic,
+        hence Gorenstein, and a lattice whose order is Gorenstein is
+        invertible (Bass, 1963)."""
+        if self.algebra.dim <= 2:
+            return True
         o = self.order()
         return self * o.colon(self) == o
 

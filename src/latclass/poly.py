@@ -65,13 +65,6 @@ def scale(p: Poly, c) -> Poly:
     return poly([Fraction(c) * x for x in p])
 
 
-def shift(p: Poly, k: int) -> Poly:
-    """Multiply by t^k."""
-    if not p:
-        return ()
-    return poly([Fraction(0)] * k + list(p))
-
-
 def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly]:
     if not q:
         raise DomainError("polynomial division by zero")

@@ -307,20 +307,21 @@ def proper_class_equal(f1: QuadForm, f2: QuadForm) -> bool:
 def sl2_conjugate(m1, m2) -> bool:
     """SL2(Z)-conjugacy of integer matrices with the same irreducible
     characteristic polynomial."""
-    k1, k2 = _sl2_key(m1), _sl2_key(m2)
+    k1, k2 = sl2_key(m1), sl2_key(m2)
     if k1[0] != k2[0]:  # pragma: no cover - same charpoly
         raise DomainError("matrices have different discriminant signs")
     return k1 == k2
 
 
-def gl2_invariant(m):
-    """Complete GL2(Z)-conjugacy invariant in the irreducible quadratic case.
+def gl2_invariant(m, key=None):
+    """Complete GL2(Z)-conjugacy invariant in the irreducible quadratic case;
+    key is sl2_key(m) when the caller has it already.
 
     The GL2 class of m is the SL2 class of m joined with that of its
     orientation flip, and distinct GL2 classes share no SL2 class, so the
     lesser of the two SL2 keys names the GL2 class.
     """
-    return min(_sl2_key(m), _sl2_key(_conj_flip(m)))
+    return min(sl2_key(m) if key is None else key, sl2_key(_conj_flip(m)))
 
 
 def matrices_conjugate(m1, m2) -> bool:
@@ -469,7 +470,10 @@ def gl2_splits(arg) -> bool:
 # ---------------------------------------------------------------------------
 # GL2 / SL2 class enumeration for an irreducible quadratic
 
-def _sl2_key(m):
+def sl2_key(m):
+    """Complete SL2(Z)-conjugacy invariant in the irreducible quadratic case:
+    the Legendre-reduced matrix when definite, the canonical river period of
+    the form when indefinite."""
     f = form_of_matrix(m)
     if f.four_disc() < 0:
         return ("v", legendre_reduce(m))
@@ -483,7 +487,7 @@ def gl2_classes(r: int, s: int) -> list[dict]:
     for m in enumerate_m(r, s):
         # the SL2 classes of m and of its flip make up its GL2 class; the
         # lesser one is gl2_invariant(m)
-        keys = (_sl2_key(m), _sl2_key(_conj_flip(m)))
+        keys = (sl2_key(m), sl2_key(_conj_flip(m)))
         groups.setdefault(min(keys), (len(set(keys)), []))[1].append(m)
     merged = [{"representative": min(members, key=lambda m: (m[1][0] <= 0, m)),
                "sl2_classes": sl2_count,

@@ -308,7 +308,11 @@ def test_criterion_7_invertibility_suite():
         for i in range(500):
             coeffs = POLY_POOL[2][i % len(POLY_POOL[2])]
             alg, _ = algebra_for(coeffs)
-            assert random_lattice(rng, alg).is_invertible()
+            l = random_lattice(rng, alg)
+            assert l.is_invertible()
+            # the product criterion, which is_invertible skips in rank 2
+            o = l.order()
+            assert l * o.colon(l) == o
         for dim in (3, 4):
             for i in range(200):
                 coeffs = POLY_POOL[dim][i % len(POLY_POOL[dim])]

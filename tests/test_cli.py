@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from latclass import quadform as qf
 from latclass.cli import main
 
 # One classify, same-class and enumerate request per spectrum family, with the
@@ -85,6 +86,20 @@ def test_classify_same_class_exit_codes(capsys):
                           "--same-class", "[[0,-1,-2],[2,0,-3],[0,2,-4]]")
     assert code == 3
     assert data["same_class"] == "undecided"
+
+
+def test_indefinite_same_class_walks_four_rivers(capsys, monkeypatch):
+    # the printed river period is the first matrix's SL2 key, so one walk
+    # serves both; the flip of each matrix and the second matrix take three
+    walks = []
+    real = qf._river_orbit
+    monkeypatch.setattr(qf, "_river_orbit", lambda f: walks.append(f) or real(f))
+    code, data = run_json(capsys, "classify", "--matrix", "[[0,7],[1,0]]",
+                          "--same-class", "[[3,-2],[1,-3]]")
+    assert (code, data["same_class"]) == (0, True)
+    assert len(walks) == 4
+    assert data["river_period"] == [list(f) for f in
+                                    qf.river(qf.QuadForm(1, 0, -7)).period]
 
 
 def test_lattice_calculator_order_idempotent(capsys):

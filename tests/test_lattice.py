@@ -186,7 +186,11 @@ def test_dim2_always_invertible_sample():
     for coeffs in POLY_POOL[2]:
         alg, _ = algebra_for(coeffs)
         for _ in range(10):
-            assert random_lattice(rng, alg).is_invertible()
+            l = random_lattice(rng, alg)
+            assert l.is_invertible()
+            # the product criterion, which is_invertible skips in rank 2
+            o = l.order()
+            assert l * o.colon(l) == o
 
 
 def test_high_powers_are_invertible_sample():
