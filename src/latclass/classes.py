@@ -269,14 +269,13 @@ def principal_unit_witness(transporter: FullLattice, source: FullLattice,
     alg = transporter.algebra
     gens = transporter.generators()
     n = len(gens)
-    mults = [alg.mult_matrix(g) for g in gens]
-    k = xn.denominator_lcm([x for m in mults for x in m])
+    rows, k = xn.clear_denominators([row for g in gens for row in alg.mult_matrix(g)])
     # canonical bases are triangular: each determinant is its diagonal product
     norm = abs(prod(target.basis[i][i] for i in range(n))
                / prod(source.basis[i][i] for i in range(n))) * k**n
     if norm.denominator != 1:
         return None
-    form = norm_form([[[int(x * k) for x in row] for row in m] for m in mults])
+    form = norm_form([rows[j * n:(j + 1) * n] for j in range(n)])
     combos = sorted(iproduct(range(-bound, bound + 1), repeat=n),
                     key=lambda c: (sum(abs(x) for x in c), c))
     for coeffs in combos:

@@ -153,11 +153,8 @@ def from_columns(cols) -> Mat:
 
 
 def denominator_lcm(a) -> int:
-    d = 1
-    for row in a:
-        for x in row:
-            d = lcm(d, Fraction(x).denominator)
-    return d
+    """The least d > 0 that makes the matrix a of ints and Fractions integral."""
+    return lcm(*(x.denominator for row in a for x in row))
 
 
 def mat_fractions(a) -> Mat:
@@ -177,10 +174,7 @@ def mat_int(a) -> Mat:
 def clear_denominators(a) -> tuple[Mat, int]:
     """(d*a, d) for the least d > 0 that makes the matrix a of ints and
     Fractions integral."""
-    d = 1
-    for row in a:
-        for x in row:
-            d = lcm(d, x.denominator)
+    d = denominator_lcm(a)
     return tuple(tuple(x.numerator * (d // x.denominator) for x in row)
                  for row in a), d
 
@@ -203,87 +197,85 @@ def solve_upper(h, b, den: int = 1) -> Mat | None:
     return from_columns(cols)
 
 
+def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination in place on the first ``ncols``
+    columns of the integer rows m (Bareiss, Math. Comp. 22, 1968).
+
+    Each step replaces every other row by (p*row - f*pivot row) / prev, with
+    p the new pivot, f the row's entry in the pivot column and prev the
+    pivot before; the division is exact, as each entry is then a minor of m.
+    The pivot rows move to the top.  Returns (pivot columns, last pivot p,
+    sign of the row swaps): every pivot row ends with p in its pivot column
+    and 0 in the other pivot columns, so the rows divided by p are the
+    reduced row echelon form, and a square m of full rank has det sign*p.
+    """
+    rows = len(m)
+    pivots = []
+    prev, sign = 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[c]
+        for i in range(rows):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+        pivots.append(c)
+    return pivots, prev, sign
+
+
+def _cleared_rows(a) -> list[list[int]]:
+    return [list(row) for row in clear_denominators(a)[0]]
+
+
 def det(a):
-    """Determinant by fraction-free Bareiss elimination (exact).
+    """Determinant by fraction-free elimination (exact).
 
     An int for a matrix of ints, which builds no Fractions; otherwise a
-    Fraction, from the integer matrix d*a with d the least common
-    denominator of a.
+    Fraction, det(d*a) / d^n with d the least common denominator of a.
     """
     n = len(a)
     if n == 0:
         return Fraction(1)
     if any(len(row) != n for row in a):
         raise DomainError("det: matrix must be square")
+    m, d = clear_denominators(a)
+    pivots, p, sign = _eliminate([list(row) for row in m], n)
+    out = sign * p if len(pivots) == n else 0
     if all(type(x) is int for row in a for x in row):
-        return _bareiss([list(row) for row in a])
-    d = denominator_lcm(a)
-    return Fraction(_bareiss([[int(Fraction(x) * d) for x in row] for row in a]), d**n)
-
-
-def _bareiss(m: list[list[int]]) -> int:
-    """Determinant of the square integer matrix m, which it overwrites."""
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _rref(m: list[list[Fraction]], ncols: int) -> list[int]:
-    """Gauss-Jordan elimination in place on the first ``ncols`` columns of the
-    rows m: the pivot rows move to the top, each pivot becomes 1 and is the
-    only nonzero entry of its column.  Returns the pivot columns."""
-    rows = len(m)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == rows:
-            break
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
-        m[r] = [x / p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
+        return out
+    return Fraction(out, d**n)
 
 
 def rmat_inv(a) -> Mat:
-    """Inverse of a square rational matrix: Gauss-Jordan on [a | I]."""
+    """Inverse of a square rational matrix: with a = A/d for an integer A,
+    fraction-free elimination takes [A | d*I] to [p*I | p*a^-1]."""
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(a)]
-    if len(_rref(m, n)) < n:
+    if any(len(row) != n for row in a):
+        raise DomainError("rmat_inv: matrix must be square")
+    m, d = clear_denominators(a)
+    rows = [list(row) + [d if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
+    pivots, p, _ = _eliminate(rows, n)
+    if len(pivots) < n:
         raise RankError("rmat_inv: singular matrix")
-    return tuple(tuple(row[n:]) for row in m)
+    return tuple(tuple(Fraction(x, p) for x in row[n:]) for row in rows)
 
 
 def nullspace(a) -> list[tuple]:
     """Basis of the rational kernel of a (rows x cols), one vector per free
     column of the reduced row echelon form."""
     cols = len(a[0]) if a else 0
-    m = [[Fraction(x) for x in row] for row in a]
-    pivots = _rref(m, cols)
+    m = _cleared_rows(a)
+    pivots, p, _ = _eliminate(m, cols)
     basis = []
     for fc in range(cols):
         if fc in pivots:
@@ -291,27 +283,29 @@ def nullspace(a) -> list[tuple]:
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
+            v[pc] = Fraction(-m[i][fc], p)
         basis.append(tuple(v))
     return basis
 
 
 def solve(a, b):
     """The unique solution x of a*x = b, or None unless a has full column
-    rank and the system is consistent: Gauss-Jordan on [a | b]."""
+    rank and the system is consistent: fraction-free elimination on [a | b]."""
     cols = len(a[0]) if a else 0
-    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    if len(_rref(m, cols)) < cols or any(row[cols] != 0 for row in m[cols:]):
+    if len(b) != len(a) or any(len(row) != cols for row in a):
+        raise DomainError("solve: a must have one row per entry of b, all of one length")
+    m = _cleared_rows([(*row, x) for row, x in zip(a, b)])
+    pivots, p, _ = _eliminate(m, cols)
+    if len(pivots) < cols or any(row[cols] for row in m[cols:]):
         return None
-    return tuple(row[cols] for row in m[:cols])
+    return tuple(Fraction(row[cols], p) for row in m[:cols])
 
 
 def column_space_basis(a) -> list[tuple]:
     """A basis of the rational column space of a: the pivot columns, i.e.
     each column that is independent of the columns before it."""
-    fa = mat_fractions(a)
-    pivots = _rref([list(row) for row in fa], len(fa[0]) if fa else 0)
-    return [tuple(row[c] for row in fa) for c in pivots]
+    pivots, _, _ = _eliminate(_cleared_rows(a), len(a[0]) if a else 0)
+    return [tuple(Fraction(row[c]) for row in a) for c in pivots]
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +364,8 @@ def rational_hnf(cols) -> Mat:
     """Canonical basis of the full lattice spanned by rational columns: scale
     by the least d > 0 that makes them integral, take the column HNF and
     divide back by d."""
-    d = 1
-    for col in cols:
-        for x in col:
-            d = lcm(d, x.denominator)
-    h = hnf(tuple(tuple(x.numerator * (d // x.denominator) for x in row)
-                  for row in zip(*cols)))
-    return tuple(tuple(Fraction(x, d) for x in row) for row in h)
+    m, d = clear_denominators(tuple(zip(*cols)))
+    return tuple(tuple(Fraction(x, d) for x in row) for row in hnf(m))
 
 
 def snf(a) -> tuple[Mat, Mat, Mat]:
@@ -469,43 +458,20 @@ def complete_to_basis(y) -> Mat:
     """A unimodular integer matrix whose first column is the primitive vector y.
 
     Prefers the completion (y, e_1, ..., e_n with e_k dropped) where k is the
-    first index with |y_k| = 1; falls back to an extended-gcd completion.
+    first index with |y_k| = 1; otherwise inverts the unimodular u with
+    u*y = e_1 from the Smith form of y as a column.
     """
     n = len(y)
     y = [int(x) for x in y]
     if gcd(*y, 0) != 1:
         raise DomainError("complete_to_basis: vector is not primitive")
     k = next((i for i, x in enumerate(y) if abs(x) == 1), None)
-    if k is not None:
-        cols = [tuple(y)]
-        for j in range(n):
-            if j != k:
-                cols.append(tuple(1 if i == j else 0 for i in range(n)))
-        return from_columns(cols)
-    # general completion: U*y = +-e_1 with U unimodular, then V = U^{-1} sign-fixed
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    g = list(y)
-    for i in range(1, n):
-        a_, b_ = g[0], g[i]
-        if b_ == 0:
-            continue
-        # extended gcd on (a_, b_)
-        old_r, r = a_, b_
-        old_s, s_ = 1, 0
-        old_t, t_ = 0, 1
-        while r:
-            q = old_r // r
-            old_r, r = r, old_r - q * r
-            old_s, s_ = s_, old_s - q * s_
-            old_t, t_ = t_, old_t - q * t_
-        p, q_ = old_s, old_t
-        gg = old_r
-        r0 = [p * x0 + q_ * xi for x0, xi in zip(u[0], u[i])]
-        r1 = [(-b_ // gg) * x0 + (a_ // gg) * xi for x0, xi in zip(u[0], u[i])]
-        u[0], u[i] = r0, r1
-        g[0], g[i] = gg, 0
-    vinv = mat(u)
-    v = unimodular_inverse(vinv)
-    if g[0] < 0:
-        v = tuple(tuple(-x if j == 0 else x for j, x in enumerate(row)) for row in v)
-    return v
+    if k is None:
+        # one column allows no column operations, so the Smith form is u*y = e_1
+        u, _, _ = snf([[x] for x in y])
+        return unimodular_inverse(u)
+    cols = [tuple(y)]
+    for j in range(n):
+        if j != k:
+            cols.append(tuple(1 if i == j else 0 for i in range(n)))
+    return from_columns(cols)

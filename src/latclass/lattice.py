@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import exactnum as xn
 from .algebra import Algebra, MultMetric, canonical_metric
-from .errors import DomainError, RankError, ResourceError
+from .errors import DomainError, ResourceError
 
 # the largest exponent FullLattice.power takes while the powers still grow
 POWER_CAP = 64
@@ -169,7 +169,7 @@ class FullLattice:
 
     # -- colon quotients ----------------------------------------------------------
     def colon(self, other) -> "FullLattice":
-        """{a in A | a*other subset of self}; metric route with SNF fallback."""
+        """{a in A | a*other subset of self}; metric route with a stacked fallback."""
         self._same_algebra(other)
         if self.algebra.family == "cyclic":
             phi = canonical_metric(self.algebra)
@@ -177,22 +177,15 @@ class FullLattice:
         return self.colon_stacked(other)
 
     def colon_stacked(self, other) -> "FullLattice":
-        """Colon quotient via stacked integrality conditions and SNF."""
+        """Colon quotient via stacked integrality conditions: x lies in
+        self : other iff for every generator g of other, in_basis(g*x) is
+        integral, i.e. iff x pairs integrally with every row of the matrices
+        in_basis(mult_matrix(g)).  So it is the standard dual of the lattice
+        those rows span."""
         self._same_algebra(other)
-        n = self.algebra.dim
-        rows = []
-        for g in other.generators():
-            rows.extend(self.in_basis(self.algebra.mult_matrix(g)))
-        d = xn.denominator_lcm(rows)
-        dmat = [[int(Fraction(x) * d) for x in row] for row in rows]
-        _, s, v = xn.snf(dmat)
-        cols = []
-        for i in range(n):
-            si = s[i][i]
-            if si == 0:  # pragma: no cover - colon lattices are full
-                raise RankError("colon: integrality system is rank deficient")
-            cols.append(tuple(Fraction(v[r][i] * d, si) for r in range(n)))
-        return FullLattice(self.algebra, cols)
+        rows = [row for g in other.generators()
+                for row in self.in_basis(self.algebra.mult_matrix(g))]
+        return _std_dual(FullLattice(self.algebra, rows))
 
     def colon_dual(self, other, phi: MultMetric) -> "FullLattice":
         """Colon quotient via the duality identity (self^phi * other)^phi."""

@@ -9,13 +9,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
+from math import prod
 
 from . import exactnum as xn
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError, ResourceError, UnsupportedError
 
 Poly = tuple[Fraction, ...]
 
 MAX_FACTOR_DEGREE = 8
+# the most candidate factors _kronecker_factor may interpolate
+KRONECKER_CAP = 15_000
 
 
 def poly(coeffs) -> Poly:
@@ -221,8 +224,7 @@ def _int_coeffs(f: Poly) -> tuple[list[int], int]:
     """
     n = degree(f)
     m = xn.denominator_lcm([f])
-    g = [f[i] * Fraction(m) ** (n - i) for i in range(n + 1)]
-    return [int(c) for c in g], m
+    return [c.numerator * (m ** (n - i) // c.denominator) for i, c in enumerate(f)], m
 
 
 def integer_roots(coeffs: list[int]) -> list[tuple[int, int]]:
@@ -254,17 +256,23 @@ def integer_roots(coeffs: list[int]) -> list[tuple[int, int]]:
 
 def _kronecker_factor(h: Poly) -> Poly | None:
     """A monic factor of degree in [2, min(4, deg//2)] of a monic integer
-    squarefree h with no rational roots, or None if irreducible that way."""
-    n = degree(h)
-    for d in range(2, min(4, n // 2) + 1):
-        points = [0, 1, -1, 2, -2, 3, -3][: d + 1]
-        values = [int(evaluate(h, x)) for x in points]
-        divisor_sets = []
-        for v in values:
-            ds = xn.divisors(v)
-            divisor_sets.append([x for d_ in ds for x in (d_, -d_)])
-        for combo in iproduct(*divisor_sets):
-            g = _interpolate(points, combo)
+    squarefree h with no rational roots, or None if irreducible that way.
+
+    A factor of degree d takes at d + 1 points values dividing those of h, so
+    each choice of signed divisors is one candidate to interpolate; raises
+    ResourceError before the search when there are more than KRONECKER_CAP.
+    """
+    top = min(4, degree(h) // 2)
+    points = [0, 1, -1, 2, -2, 3, -3][: top + 1]
+    divisor_sets = [[x for d in xn.divisors(int(evaluate(h, p))) for x in (d, -d)]
+                    for p in points]
+    count = sum(prod(map(len, divisor_sets[: d + 1])) for d in range(2, top + 1))
+    if count > KRONECKER_CAP:
+        raise ResourceError(f"factor_rationals: {count} candidate factors, "
+                            f"above the cap of {KRONECKER_CAP}")
+    for d in range(2, top + 1):
+        for combo in iproduct(*divisor_sets[: d + 1]):
+            g = _interpolate(points[: d + 1], combo)
             if degree(g) != d or g[-1] == 0:
                 continue
             g = monic(g)

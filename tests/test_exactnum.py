@@ -84,20 +84,66 @@ def test_gcd_q_matches_small_oracle():
 
 
 # ---------------------------------------------------------------------------
-# rational elimination: rmat_inv, solve, nullspace, column_space_basis
+# rational elimination: det, rmat_inv, solve, nullspace, column_space_basis
+
+def _leibniz_det(a):
+    """Determinant as the signed sum over all permutations, independent of
+    any elimination."""
+    from itertools import permutations
+
+    n = len(a)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
 
 def _minor_rank(a) -> int:
     """Rank of a rational matrix: the largest k with a nonzero k x k minor
-    (determinants by Bareiss, independent of Gauss-Jordan)."""
+    (Leibniz determinants, independent of elimination)."""
     from itertools import combinations
 
     rows, cols = len(a), len(a[0])
     for k in range(min(rows, cols), 0, -1):
         for rs in combinations(range(rows), k):
             for cs in combinations(range(cols), k):
-                if xn.det([[a[r][c] for c in cs] for r in rs]) != 0:
+                if _leibniz_det([[a[r][c] for c in cs] for r in rs]) != 0:
                     return k
     return 0
+
+
+def _rref_oracle(m, ncols):
+    """The former Fraction Gauss-Jordan elimination, kept as an oracle: in
+    place on the first ncols columns of the rows m, each pivot scaled to 1
+    and cleared from its column.  Returns (pivot columns, the product of the
+    pivots with the sign of the row swaps)."""
+    rows = len(m)
+    pivots = []
+    scale = Fraction(1)
+    r = 0
+    for c in range(ncols):
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            scale = -scale
+        p = m[r][c]
+        scale *= p
+        m[r] = [x / p for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, scale
 
 
 def _random_rational_matrix(rng, rows, cols):
@@ -159,6 +205,57 @@ def test_elimination_cross_check():
         assert xn.column_space_basis(a) == greedy
         assert len(greedy) == rank
     assert singular and deficient and inconsistent
+
+
+def test_elimination_matches_fraction_gauss_jordan():
+    rng = Random(13)
+    singular = deficient = 0
+    for _ in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        a = _random_rational_matrix(rng, rows, cols)
+        b = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rows))
+        m = [list(row) for row in a]
+        pivots, scale = _rref_oracle(m, cols)
+        deficient += len(pivots) < min(rows, cols)
+        free = [c for c in range(cols) if c not in pivots]
+        kernel = []
+        for fc in free:
+            v = [Fraction(0)] * cols
+            v[fc] = Fraction(1)
+            for i, pc in enumerate(pivots):
+                v[pc] = -m[i][fc]
+            kernel.append(tuple(v))
+        assert xn.nullspace(a) == kernel
+        assert xn.column_space_basis(a) == [tuple(row[c] for row in a) for c in pivots]
+        ab = [list(row) + [x] for row, x in zip(a, b)]
+        if len(_rref_oracle(ab, cols)[0]) < cols or any(row[cols] for row in ab[cols:]):
+            assert xn.solve(a, b) is None
+        else:
+            assert xn.solve(a, b) == tuple(row[cols] for row in ab[:cols])
+        if rows != cols:
+            continue
+        full = len(pivots) == rows
+        assert xn.det(a) == (scale if full else 0)
+        singular += not full
+        aug = [list(row) + [Fraction(int(i == j)) for j in range(rows)]
+               for i, row in enumerate(a)]
+        _rref_oracle(aug, rows)
+        if full:
+            assert xn.rmat_inv(a) == tuple(tuple(row[rows:]) for row in aug)
+        else:
+            with pytest.raises(RankError):
+                xn.rmat_inv(a)
+    assert singular and deficient
+
+
+def test_elimination_rejects_misshapen_input():
+    for a in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[1], [2]]):
+        with pytest.raises(DomainError):
+            xn.rmat_inv(a)
+    for a, b in (([[1, 0], [0, 1]], [1, 2, 3]), ([[1, 0], [0, 1]], [1]),
+                 ([[1, 0], [0]], [1, 2]), ([[1, 0, 0], [0, 1]], [1, 2])):
+        with pytest.raises(DomainError):
+            xn.solve(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -281,17 +378,28 @@ def test_snf_random_and_det():
 def test_complete_to_basis():
     rng = Random(7)
     from math import gcd
-    for _ in range(80):
+    general = 0
+    for _ in range(200):
         n = rng.randint(2, 4)
-        y = [rng.randint(-5, 5) for _ in range(n)]
+        y = [rng.randint(-12, 12) for _ in range(n)]
         g = 0
         for x in y:
             g = gcd(g, x)
         if g != 1:
             continue
+        general += all(abs(x) != 1 for x in y)
         v = xn.complete_to_basis(y)
         assert [row[0] for row in v] == y
         assert abs(xn.det(v)) == 1
+    assert general
+    # no entry of absolute value 1: the Smith-form completion
+    for y in ([6, 10, 15], [0, 4, 9], [-6, 0, 10, 15], [2, 3]):
+        v = xn.complete_to_basis(y)
+        assert [row[0] for row in v] == y
+        assert all(type(x) is int for row in v for x in row)
+        assert abs(xn.det(v)) == 1
+    with pytest.raises(DomainError):
+        xn.complete_to_basis([4, 6])
 
 
 def test_det_int_path_matches_fraction_path():

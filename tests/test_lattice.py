@@ -165,6 +165,34 @@ def test_colon_two_routes_agree():
                 assert l1.colon_dual(l2, phi) == l1.colon_stacked(l2)
 
 
+def _colon_by_snf(l1, l2):
+    """The former stacked colon, kept as an oracle: the integrality rows
+    in_basis(mult_matrix(g)) of the generators g of l2, cleared of
+    denominators by d, have Smith form u*R*v = s, so x = v*y lies in l1 : l2
+    iff s*y is in d*Z^m, i.e. the columns d*v_i/s_i span the colon."""
+    alg = l1.algebra
+    rows = []
+    for g in l2.generators():
+        rows.extend(l1.in_basis(alg.mult_matrix(g)))
+    ints, d = xn.clear_denominators(rows)
+    _, s, v = xn.snf(ints)
+    return FullLattice(alg, [tuple(Fraction(v[r][i] * d, s[i][i]) for r in range(alg.dim))
+                             for i in range(alg.dim)])
+
+
+def test_colon_stacked_matches_smith_form_route():
+    from latclass.families import FLAT3, MIXED, SPLIT2, SPLIT3
+    rng = Random(37)
+    pairs = 0
+    for alg in (SPLIT2, SPLIT3, MIXED, FLAT3):
+        for _ in range(75):
+            l1 = random_lattice(rng, alg, denom_max=3)
+            l2 = random_lattice(rng, alg, denom_max=3)
+            assert l1.colon_stacked(l2) == _colon_by_snf(l1, l2)
+            pairs += 1
+    assert pairs >= 300
+
+
 def test_invertibility_criteria_agree():
     # L (O(L):L) = O(L)  iff  O(O(L):L) = O(L): two invertibility oracles
     rng = Random(36)

@@ -1,10 +1,11 @@
+import time
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from latclass import poly as up
-from latclass.errors import DomainError, UnsupportedError
+from latclass.errors import DomainError, ResourceError, UnsupportedError
 
 
 def P(*coeffs):
@@ -79,6 +80,16 @@ def test_factor_rationals_examples():
     assert up.factor_rationals(f) == [(P(1, 0, 1), 1), (P(2, 0, 1), 1)]
     with pytest.raises(UnsupportedError):
         up.factor_rationals(P(-1, -1, 0, 0, 0, 0, 0, 0, 0, 1))   # t^9 - t - 1
+
+
+def test_kronecker_search_is_capped():
+    # t^6 + 720720 has 1,259,520 candidate factors: refused before the search
+    start = time.perf_counter()
+    with pytest.raises(ResourceError):
+        up.factor_rationals(P(720720, 0, 0, 0, 0, 0, 1))
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ResourceError):
+        up.factor_rationals(P(720720, 0, 0, 0, 1))          # 30,720 candidates
 
 
 def test_factor_rationals_reconstructs_and_no_rational_roots():
