@@ -260,18 +260,21 @@ def _kronecker_factor(h: Poly) -> Poly | None:
 
     A factor of degree d takes at d + 1 points values dividing those of h, so
     each choice of signed divisors is one candidate to interpolate; raises
-    ResourceError before the search when there are more than KRONECKER_CAP.
+    ResourceError before the search of a degree that would bring the
+    candidates tried through it above KRONECKER_CAP.
     """
-    top = min(4, degree(h) // 2)
-    points = [0, 1, -1, 2, -2, 3, -3][: top + 1]
-    divisor_sets = [[x for d in xn.divisors(int(evaluate(h, p))) for x in (d, -d)]
-                    for p in points]
-    count = sum(prod(map(len, divisor_sets[: d + 1])) for d in range(2, top + 1))
-    if count > KRONECKER_CAP:
-        raise ResourceError(f"factor_rationals: {count} candidate factors, "
-                            f"above the cap of {KRONECKER_CAP}")
-    for d in range(2, top + 1):
-        for combo in iproduct(*divisor_sets[: d + 1]):
+    points = [0, 1, -1, 2, -2, 3, -3]
+    divisor_sets: list[list[int]] = []
+    count = 0
+    for d in range(2, min(4, degree(h) // 2) + 1):
+        while len(divisor_sets) <= d:
+            v = int(evaluate(h, points[len(divisor_sets)]))
+            divisor_sets.append([x for e in xn.divisors(v) for x in (e, -e)])
+        count += prod(map(len, divisor_sets))
+        if count > KRONECKER_CAP:
+            raise ResourceError(f"factor_rationals: {count} candidate factors "
+                                f"through degree {d}, above the cap of {KRONECKER_CAP}")
+        for combo in iproduct(*divisor_sets):
             g = _interpolate(points[: d + 1], combo)
             if degree(g) != d or g[-1] == 0:
                 continue

@@ -92,6 +92,16 @@ def test_kronecker_search_is_capped():
         up.factor_rationals(P(720720, 0, 0, 0, 1))          # 30,720 candidates
 
 
+def test_kronecker_cap_counts_only_the_degrees_searched():
+    # a quadratic runs no search, so h(1) = 2^61 - 1 (prime) is never factored
+    f = P(2**61 - 2, 0, 1)
+    assert up.factor_rationals(f) == [(f, 1)]
+    # (t^2+1)(t^6+3) splits at degree 2 after 256 candidates; all four
+    # degrees of its search together would count 18,688
+    f = up.mul(P(1, 0, 1), P(3, 0, 0, 0, 0, 0, 1))
+    assert up.factor_rationals(f) == [(P(1, 0, 1), 1), (P(3, 0, 0, 0, 0, 0, 1), 1)]
+
+
 def test_factor_rationals_reconstructs_and_no_rational_roots():
     rng = Random(12)
     for _ in range(40):
