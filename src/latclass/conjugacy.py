@@ -185,12 +185,12 @@ def centralizer_order(alg: Algebra, powers) -> FullLattice:
 def _on_canonical_basis(lat: FullLattice, x) -> xn.Mat | None:
     """The integer matrix of multiplication by x on the canonical basis of
     lat, or None when it is not integral.  With H = d*basis the integer
-    canonical basis, the matrix r solves H r = X H for X the multiplication
-    matrix of x in the algebra basis; with k the common denominator of X,
-    H r = (k X H) / k is solved by integer back-substitution."""
-    h, _ = xn.clear_denominators(lat.basis)
+    canonical basis, the matrix r solves basis r = X basis for X the
+    multiplication matrix of x in the algebra basis; with k the common
+    denominator of X, those are the integer coordinates of k X H over k d."""
+    h, d = xn.clear_denominators(lat.basis)
     kx, k = xn.clear_denominators(lat.algebra.mult_matrix(x))
-    return xn.solve_upper(h, xn.mat_mul(kx, h), k)
+    return lat.int_coords(xn.mat_mul(kx, h), k * d)
 
 
 def matrix_for(lat: FullLattice, x, basis=None) -> xn.Mat:

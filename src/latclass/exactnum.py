@@ -233,7 +233,9 @@ def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
     return pivots, prev, sign
 
 
-def _cleared_rows(a) -> list[list[int]]:
+def _cleared_rows(a, name: str) -> list[list[int]]:
+    if any(len(row) != len(a[0]) for row in a):
+        raise DomainError(f"{name}: rows must all have one length")
     return [list(row) for row in clear_denominators(a)[0]]
 
 
@@ -274,7 +276,7 @@ def nullspace(a) -> list[tuple]:
     """Basis of the rational kernel of a (rows x cols), one vector per free
     column of the reduced row echelon form."""
     cols = len(a[0]) if a else 0
-    m = _cleared_rows(a)
+    m = _cleared_rows(a, "nullspace")
     pivots, p, _ = _eliminate(m, cols)
     basis = []
     for fc in range(cols):
@@ -292,9 +294,9 @@ def solve(a, b):
     """The unique solution x of a*x = b, or None unless a has full column
     rank and the system is consistent: fraction-free elimination on [a | b]."""
     cols = len(a[0]) if a else 0
-    if len(b) != len(a) or any(len(row) != cols for row in a):
-        raise DomainError("solve: a must have one row per entry of b, all of one length")
-    m = _cleared_rows([(*row, x) for row, x in zip(a, b)])
+    if len(b) != len(a):
+        raise DomainError("solve: a must have one row per entry of b")
+    m = _cleared_rows([(*row, x) for row, x in zip(a, b)], "solve")
     pivots, p, _ = _eliminate(m, cols)
     if len(pivots) < cols or any(row[cols] for row in m[cols:]):
         return None
@@ -304,7 +306,7 @@ def solve(a, b):
 def column_space_basis(a) -> list[tuple]:
     """A basis of the rational column space of a: the pivot columns, i.e.
     each column that is independent of the columns before it."""
-    pivots, _, _ = _eliminate(_cleared_rows(a), len(a[0]) if a else 0)
+    pivots, _, _ = _eliminate(_cleared_rows(a, "column_space_basis"), len(a[0]) if a else 0)
     return [tuple(Fraction(row[c]) for row in a) for c in pivots]
 
 

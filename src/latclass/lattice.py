@@ -19,6 +19,7 @@ made from.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from . import exactnum as xn
 from .algebra import Algebra, MultMetric, canonical_metric
@@ -31,7 +32,7 @@ POWER_CAP = 64
 class FullLattice:
     """Rank-n Z-lattice spanning the algebra over Q, in canonical form."""
 
-    __slots__ = ("algebra", "basis", "_inv", "_dual", "_order", "_is_order", "_hash")
+    __slots__ = ("algebra", "basis", "_inv", "_dual", "_order", "_products", "_hash")
 
     def __init__(self, algebra: Algebra, generators):
         gens = [tuple(Fraction(x) for x in g) for g in generators]
@@ -45,7 +46,7 @@ class FullLattice:
         self._inv = None
         self._dual = None    # (metric, canonical basis of the dual under it)
         self._order = None   # O(L), or the function defer_order gave
-        self._is_order = None
+        self._products = None  # product_coords(), or False when L is no order
         self._hash = None
 
     @classmethod
@@ -88,6 +89,16 @@ class FullLattice:
     def in_basis(self, m) -> xn.Mat:
         """basis^-1 * m: the coordinates of m's columns in the canonical basis."""
         return xn.mat_mul(self._inverse(), m)
+
+    def int_coords(self, y, k: int = 1) -> xn.Mat | None:
+        """The integer z with basis * z = y / k for an integer matrix y, or
+        None when a column of y / k is not in L: with H = d * basis, integer
+        back-substitution on the triangular H z = d y / k."""
+        h, d = xn.clear_denominators(self.basis)
+        g = gcd(d, k)
+        if g < d:
+            y = tuple(tuple(x * (d // g) for x in row) for row in y)
+        return xn.solve_upper(h, y, k // g)
 
     def coords(self, x) -> tuple:
         return xn.mat_vec(self._inverse(), tuple(Fraction(c) for c in x))
@@ -211,16 +222,22 @@ class FullLattice:
         return d
 
     # -- orders -----------------------------------------------------------------
-    def is_order(self) -> bool:
-        """Whether 1 and the n(n+1)/2 products of basis elements lie in L,
-        tested as one in_basis of the matrix with those columns."""
-        if self._is_order is None:
+    def product_coords(self) -> xn.Mat | None:
+        """The integer coordinates of 1 and of the n(n+1)/2 products b_i b_j
+        (i <= j) of basis elements, in that order, or None when one of them
+        is not in L."""
+        if self._products is None:
             alg = self.algebra
             gens = self.generators()
             cols = [alg.unit] + [alg.mul(a, b)
                                  for i, a in enumerate(gens) for b in gens[i:]]
-            self._is_order = xn.mat_is_integral(self.in_basis(xn.from_columns(cols)))
-        return self._is_order
+            y, k = xn.clear_denominators(xn.from_columns(cols))
+            self._products = self.int_coords(y, k) or False
+        return self._products or None
+
+    def is_order(self) -> bool:
+        """Whether 1 and the products of basis elements lie in L."""
+        return self.product_coords() is not None
 
     def order(self) -> "FullLattice":
         """The order of this lattice, O(L) = L : L, or the lattice that
@@ -240,14 +257,29 @@ class FullLattice:
             self._order = compute
 
     def is_invertible(self) -> bool:
-        """Whether L * (O(L) : L) = O(L).  Always so in rank <= 2: an order of
-        rank 2 is Z[x] for any x completing 1 to a basis, so it is monogenic,
-        hence Gorenstein, and a lattice whose order is Gorenstein is
-        invertible (Bass, 1963)."""
+        """Whether L * (O(L) : L) = O(L), which holds when O(L) is Gorenstein
+        (Bass, 1963): always in rank 2, where O(L) = Z[x] for any x completing
+        1 to a basis, and in rank 3 when its cubic_form is primitive
+        (Gan-Gross-Savin, Duke 2002).  Otherwise the product decides."""
         if self.algebra.dim <= 2:
             return True
         o = self.order()
+        form = cubic_form(o) if self.algebra.dim == 3 else None
+        if form is not None and gcd(*form) == 1:
+            return True
         return self * o.colon(self) == o
+
+
+def cubic_form(o: FullLattice) -> tuple[int, int, int, int] | None:
+    """The binary cubic form (Delone-Faddeev) of a rank-3 order o with
+    canonical basis (1, w, t), or None when its first basis column is not 1.
+    With w^2 = c0 + c1 w + c2 t, w t = e0 + e1 w + e2 t and t^2 = g0 + g1 w +
+    g2 t, the basis (1, w - e2, t - e1), whose product lies in Z, gives the
+    form (a, b, c, d) = (-c2, c1 - 2 e2, 2 e1 - g2, g1)."""
+    if tuple(row[0] for row in o.basis) != o.algebra.unit:
+        return None
+    *_, c, e, g = xn.columns(o.product_coords())
+    return -c[2], c[1] - 2 * e[2], 2 * e[1] - g[2], g[1]
 
 
 def _std_dual(l: FullLattice) -> FullLattice:

@@ -259,7 +259,8 @@ def _kronecker_factor(h: Poly) -> Poly | None:
     squarefree h with no rational roots, or None if irreducible that way.
 
     A factor of degree d takes at d + 1 points values dividing those of h, so
-    each choice of signed divisors is one candidate to interpolate; raises
+    each choice of signed divisors, positive at the first point as g and -g
+    are one monic factor, is one candidate to interpolate; raises
     ResourceError before the search of a degree that would bring the
     candidates tried through it above KRONECKER_CAP.
     """
@@ -269,7 +270,8 @@ def _kronecker_factor(h: Poly) -> Poly | None:
     for d in range(2, min(4, degree(h) // 2) + 1):
         while len(divisor_sets) <= d:
             v = int(evaluate(h, points[len(divisor_sets)]))
-            divisor_sets.append([x for e in xn.divisors(v) for x in (e, -e)])
+            signs = (1, -1) if divisor_sets else (1,)
+            divisor_sets.append([s * e for e in xn.divisors(v) for s in signs])
         count += prod(map(len, divisor_sets))
         if count > KRONECKER_CAP:
             raise ResourceError(f"factor_rationals: {count} candidate factors "

@@ -256,6 +256,11 @@ def test_elimination_rejects_misshapen_input():
                  ([[1, 0], [0]], [1, 2]), ([[1, 0, 0], [0, 1]], [1, 2])):
         with pytest.raises(DomainError):
             xn.solve(a, b)
+    for a in ([[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(DomainError):
+            xn.nullspace(a)
+        with pytest.raises(DomainError):
+            xn.column_space_basis(a)
 
 
 # ---------------------------------------------------------------------------

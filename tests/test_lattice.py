@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -8,7 +9,7 @@ from latclass import exactnum as xn
 from latclass import poly as up
 from latclass.algebra import MultMetric, canonical_metric, split_algebra
 from latclass.errors import DomainError
-from latclass.lattice import FullLattice, dedekind_chain, index, span
+from latclass.lattice import FullLattice, cubic_form, dedekind_chain, index, span
 
 
 def beta_algebra():
@@ -278,6 +279,19 @@ def _is_order_by_contains(lat):
                                           for a in gens for b in gens)
 
 
+def _is_order_by_in_basis(lat):
+    """The former order test, kept as an oracle: one in_basis of the matrix
+    whose columns are 1 and the n(n+1)/2 products of basis elements."""
+    return xn.mat_is_integral(lat.in_basis(_unit_and_products(lat)))
+
+
+def _unit_and_products(lat):
+    alg = lat.algebra
+    gens = lat.generators()
+    return xn.from_columns([alg.unit] + [alg.mul(a, b) for i, a in enumerate(gens)
+                                         for b in gens[i:]])
+
+
 def test_cached_dual_matches_inverse_route():
     rng = Random(37)
     for dim in (2, 3, 4, 5):
@@ -335,7 +349,105 @@ def test_is_order_matches_contains_route():
                             l.order() + l, span(alg, l.order().generators() + [alg.unit])):
                     fresh = FullLattice(alg, lat.generators())
                     expected = _is_order_by_contains(fresh)
+                    assert _is_order_by_in_basis(fresh) is expected
                     assert fresh.is_order() is expected
+                    if expected:
+                        z = fresh.product_coords()
+                        assert xn.mat_mul(fresh.basis, z) == _unit_and_products(fresh)
                     orders += expected
                     non_orders += not expected
     assert orders > 100 and non_orders > 50
+
+
+def _invertible_by_product(lat):
+    """The product criterion L * (O(L) : L) = O(L), kept as the oracle of
+    the rank-3 route through the cubic form."""
+    o = lat.order()
+    return lat * o.colon(lat) == o
+
+
+def _trace_discriminant(o):
+    """det(Tr(b_i b_j)) over the canonical basis of the order o."""
+    alg = o.algebra
+    gens = o.generators()
+    trace = lambda x: sum(row[i] for i, row in enumerate(alg.mult_matrix(x)))
+    return xn.det([[trace(alg.mul(a, b)) for b in gens] for a in gens])
+
+
+def _non_gorenstein_orders(rng, alg):
+    """Z + p O' for a monogenic O' (form content 1), so of content p, with
+    its dual: an order and a lattice whose order it is, the first invertible
+    and the second not (a canonical module of a non-Gorenstein order)."""
+    for p in (2, 3):
+        o = random_cyclic_order(rng, alg)
+        r = span(alg, [alg.unit] + [alg.smul(p, g) for g in o.generators()])
+        assert gcd(*cubic_form(r)) == p
+        d = r.dual()
+        assert d.order() == r
+        assert _invertible_by_product(r) and not _invertible_by_product(d)
+        yield r
+        yield d
+
+
+def test_rank3_invertibility_matches_product_criterion():
+    from latclass.families import FLAT3, MIXED, SPLIT3
+    rng = Random(41)
+    cyclic = [algebra_for(coeffs)[0] for coeffs in POLY_POOL[3]]
+    lattices = [random_lattice(rng, alg) for alg in [FLAT3, MIXED, SPLIT3] for _ in range(30)]
+    for alg in cyclic:
+        for _ in range(15):
+            lattices.append(random_lattice(rng, alg))
+            # a lattice over a monogenic order, whose own order is often Gorenstein
+            lattices.append(random_cyclic_order(rng, alg) * random_lattice(rng, alg))
+        lattices.extend(_non_gorenstein_orders(rng, alg))
+    seen = {True: 0, False: 0}
+    by_form = 0
+    for lat in lattices:
+        expected = _invertible_by_product(lat)
+        assert FullLattice(lat.algebra, lat.generators()).is_invertible() is expected
+        seen[expected] += 1
+        form = cubic_form(lat.order())
+        if lat.algebra in (MIXED, SPLIT3):
+            assert form is None
+        else:
+            by_form += gcd(*form) == 1
+    assert len(lattices) >= 300
+    assert seen[True] > 100 and seen[False] > 100 and by_form > 80
+
+
+def test_cubic_form_has_the_discriminant_of_its_order():
+    from latclass.families import FLAT3
+    rng = Random(42)
+    orders = 0
+    for alg in [algebra_for(coeffs)[0] for coeffs in POLY_POOL[3]] + [FLAT3]:
+        for lat in [random_lattice(rng, alg) for _ in range(8)] + list(
+                _non_gorenstein_orders(rng, alg) if alg is not FLAT3 else ()):
+            o = lat.order()
+            a, b, c, d = cubic_form(o)
+            disc = b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d + 18 * a * b * c * d
+            assert disc == _trace_discriminant(o)
+            orders += 1
+    assert orders > 80
+
+
+def test_int_coords_matches_in_basis():
+    rng = Random(43)
+    members = 0
+    for dim in (2, 3, 4):
+        for coeffs in POLY_POOL[dim][:3]:
+            alg, _ = algebra_for(coeffs)
+            for _ in range(10):
+                l = random_lattice(rng, alg)
+                z = [[rng.choice((0, 0, 1, -2, 3)) for _ in range(2)] for _ in range(dim)]
+                y, k = xn.clear_denominators(xn.mat_mul(l.basis, z))
+                s = rng.randint(1, 3)
+                y = tuple(tuple(s * x for x in row) for row in y)
+                assert l.int_coords(y, k * s) == xn.mat(z)
+                # the first column shifted by e_0 / (k s), in L or not
+                y = ((y[0][0] + 1, y[0][1]),) + y[1:]
+                expected = l.in_basis(tuple(tuple(Fraction(x, k * s) for x in row)
+                                            for row in y))
+                got = l.int_coords(y, k * s)
+                assert got == (expected if xn.mat_is_integral(expected) else None)
+                members += got is not None
+    assert 0 < members < 90

@@ -83,23 +83,36 @@ def test_factor_rationals_examples():
 
 
 def test_kronecker_search_is_capped():
-    # t^6 + 720720 has 1,259,520 candidate factors: refused before the search
+    # t^6 + 720720 has 629,760 candidate factors: refused before the search
     start = time.perf_counter()
     with pytest.raises(ResourceError):
         up.factor_rationals(P(720720, 0, 0, 0, 0, 0, 1))
     assert time.perf_counter() - start < 1
     with pytest.raises(ResourceError):
-        up.factor_rationals(P(720720, 0, 0, 0, 1))          # 30,720 candidates
+        up.factor_rationals(P(720720, 0, 0, 0, 1))          # 15,360 candidates
 
 
 def test_kronecker_cap_counts_only_the_degrees_searched():
     # a quadratic runs no search, so h(1) = 2^61 - 1 (prime) is never factored
     f = P(2**61 - 2, 0, 1)
     assert up.factor_rationals(f) == [(f, 1)]
-    # (t^2+1)(t^6+3) splits at degree 2 after 256 candidates; all four
-    # degrees of its search together would count 18,688
-    f = up.mul(P(1, 0, 1), P(3, 0, 0, 0, 0, 0, 1))
-    assert up.factor_rationals(f) == [(P(1, 0, 1), 1), (P(3, 0, 0, 0, 0, 0, 1), 1)]
+    # (t^2+1)(t^6+3) splits at degree 2 after 128 candidates, and
+    # (t^2+1)(t^6+5) after 288; the three degrees of their searches together
+    # would count 9,344 and 78,624
+    for c in (3, 5):
+        g = P(c, 0, 0, 0, 0, 0, 1)
+        assert up.factor_rationals(up.mul(P(1, 0, 1), g)) == [(P(1, 0, 1), 1), (g, 1)]
+
+
+def test_kronecker_takes_each_monic_candidate_once(monkeypatch):
+    # g and -g are one monic factor: t^4 + 30 (irreducible) has 8 positive
+    # divisors at 0 and 4 signed divisors at 1 and at -1
+    calls = []
+    interpolate = up._interpolate
+    monkeypatch.setattr(up, "_interpolate", lambda xs, ys: calls.append(ys) or interpolate(xs, ys))
+    f = P(30, 0, 0, 0, 1)
+    assert up.factor_rationals(f) == [(f, 1)]
+    assert 0 < len(calls) <= 128
 
 
 def test_factor_rationals_reconstructs_and_no_rational_roots():
