@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from weakref import WeakValueDictionary
 
 from . import exactnum as xn
 from . import poly as up
@@ -32,6 +33,7 @@ class Algebra:
         self.defining_poly = defining_poly
         self.generator = tuple(Fraction(x) for x in generator) if generator else None
         self._metric = None   # the canonical metric, built on first use
+        self._lattices = WeakValueDictionary()   # lattice key -> live FullLattice
         if validate:
             self.validate()
 
@@ -59,13 +61,14 @@ class Algebra:
         return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
 
     def element(self, coeffs) -> Element:
-        v = tuple(Fraction(x) for x in coeffs)
+        v = tuple(map(xn.rational, coeffs))
         if len(v) != self.dim:
             raise DomainError("element has wrong length")
         return v
 
     def scalar(self, q) -> Element:
-        return tuple(Fraction(q) * c for c in self.unit)
+        q = xn.rational(q)
+        return tuple(q * c for c in self.unit)
 
     def mul(self, x, y) -> Element:
         n = self.dim
@@ -90,7 +93,7 @@ class Algebra:
         return tuple(a - b for a, b in zip(x, y))
 
     def smul(self, q, x) -> Element:
-        q = Fraction(q)
+        q = xn.rational(q)
         return tuple(q * a for a in x)
 
     def mult_matrix(self, x) -> xn.Mat:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product as iproduct
 from math import gcd, prod
 
@@ -254,6 +255,14 @@ def norm_form(mults) -> list[tuple[int, tuple[int, ...]]]:
     return [(k, vars_) for (vars_, _), k in states.items()]
 
 
+@cache
+def _witness_combos(n: int, bound: int) -> tuple[tuple[int, ...], ...]:
+    """The coefficient vectors in [-bound, bound]^n by increasing absolute
+    sum, then lexicographically: the witness search's order of candidates."""
+    return tuple(sorted(iproduct(range(-bound, bound + 1), repeat=n),
+                        key=lambda c: (sum(abs(x) for x in c), c)))
+
+
 def principal_unit_witness(transporter: FullLattice, source: FullLattice,
                            target: FullLattice, bound: int = 3):
     """Search the transporter for a unit u with u*source == target.
@@ -276,9 +285,7 @@ def principal_unit_witness(transporter: FullLattice, source: FullLattice,
     if norm.denominator != 1:
         return None
     form = norm_form([rows[j * n:(j + 1) * n] for j in range(n)])
-    combos = sorted(iproduct(range(-bound, bound + 1), repeat=n),
-                    key=lambda c: (sum(abs(x) for x in c), c))
-    for coeffs in combos:
+    for coeffs in _witness_combos(n, bound):
         if abs(sum(a * prod(coeffs[j] for j in vars_) for a, vars_ in form)) != norm:
             continue
         u = tuple(sum(Fraction(c) * g[i] for c, g in zip(coeffs, gens))

@@ -188,7 +188,7 @@ def _on_canonical_basis(lat: FullLattice, x) -> xn.Mat | None:
     canonical basis, the matrix r solves basis r = X basis for X the
     multiplication matrix of x in the algebra basis; with k the common
     denominator of X, those are the integer coordinates of k X H over k d."""
-    h, d = xn.clear_denominators(lat.basis)
+    h, d = lat.key
     kx, k = xn.clear_denominators(lat.algebra.mult_matrix(x))
     return lat.int_coords(xn.mat_mul(kx, h), k * d)
 

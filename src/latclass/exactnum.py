@@ -157,6 +157,22 @@ def denominator_lcm(a) -> int:
     return lcm(*(x.denominator for row in a for x in row))
 
 
+def rational(x) -> Fraction:
+    """x as a Fraction: an int, a Fraction, or a string or other exact
+    number that Fraction reads, such as "1/10".  Raises DomainError for a
+    float or a complex number, whose binary value would be taken silently,
+    and for anything that is not a finite rational."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (float, complex)):
+        raise DomainError(f"inexact number {x!r}: give an int, a Fraction or "
+                          "a string such as '1/10'")
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{x!r} is not a rational number") from None
+
+
 def mat_fractions(a) -> Mat:
     return tuple(tuple(Fraction(x) for x in row) for row in a)
 

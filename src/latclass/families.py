@@ -899,11 +899,15 @@ def cubic_tables() -> dict[str, str]:
         rows.append("\t".join(row))
     t32 = "\n".join(rows)
 
+    # every quotient is kept until all are named: cells of one value then
+    # share the lattice object, with its order and colons
+    quotients = {(n1, n2): reps[n1].colon(reps[n2])
+                 for n1 in CUBIC_NAMES for n2 in CUBIC_NAMES}
     rows = [header]
     for n1 in CUBIC_NAMES:
         row = [CUBIC_DISPLAY[n1]]
         for n2 in CUBIC_NAMES:
-            row.append(rep_name_eps(reps[n1].colon(reps[n2])))
+            row.append(rep_name_eps(quotients[n1, n2]))
         rows.append("\t".join(row))
     t33 = "\n".join(rows)
 

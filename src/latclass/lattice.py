@@ -1,25 +1,33 @@
 """Full lattices in a commutative Q-algebra and their semigroup operations.
 
-A lattice is stored by a unique canonical basis: scale by the minimal d > 0
-making the basis integral, take the column Hermite normal form, divide back
-(exactnum.rational_hnf).  Equality of lattices is equality of canonical
-bases.  A lattice is immutable, so the inverse of its basis, which
-membership, containment, index and the stacked colon all need, is computed
-at most once per lattice.  So is its dual under the canonical metric, the
-columns of G^-1 (B^-1)^T: the basis inverse B^-1 times the inverse Gram
-matrix G^-1, which each MultMetric computes once (rejecting a degenerate
-metric there).  A lattice keeps the canonical basis of its last dual, and
-under a symmetric metric the dual keeps this lattice's basis, as the dual of
-the dual is the lattice again.  Keeping bases rather than lattices makes no
-reference cycles.  So the metric colon (L1^phi * L2)^phi dualizes each
-operand once, and the order of a colon quotient reuses the product it was
-made from.
+A lattice is identified by an integer key (H, d): d > 0 is the least
+integer that makes the generators integral and H the column Hermite normal
+form of d times them.  H/d is the canonical basis, and as d is least, H and
+d share no common factor, so the key is unique.  Each algebra keeps its live
+lattices in a table keyed weakly by (H, d), and constructing a lattice
+returns the object already in the table when there is one: there is one
+object per value, and equality and hashing compare keys.
+
+A lattice is immutable, so what it computes about itself is kept and shared
+by every construction of it: the inverse of its basis (membership,
+containment, index, the stacked colon), the coordinates of its basis
+products (is_order), its order and its dual under the canonical metric, the
+columns of G^-1 (B^-1)^T, from the basis inverse B^-1 and the inverse Gram
+matrix G^-1 that each MultMetric computes once.  L1 * L2 and L1.colon(L2)
+remember the key of their result on the operands, in a table keyed weakly by
+the partner lattice and made on first use, so a lattice keeps nothing for
+partners that have died.  A cached dual or product is kept as a key and
+looked up in the table again, and an order keeps no reference to itself, so
+lattices form no reference cycles and die as soon as they are dropped.  Two
+threads building the same lattice at once may make two equal objects, which
+is harmless: equality is by value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from weakref import WeakKeyDictionary
 
 from . import exactnum as xn
 from .algebra import Algebra, MultMetric, canonical_metric
@@ -30,30 +38,38 @@ POWER_CAP = 64
 
 
 class FullLattice:
-    """Rank-n Z-lattice spanning the algebra over Q, in canonical form."""
+    """Rank-n Z-lattice spanning the algebra over Q, one object per value."""
 
-    __slots__ = ("algebra", "basis", "_inv", "_dual", "_order", "_products", "_hash")
+    __slots__ = ("algebra", "key", "basis", "_inv", "_dual", "_order", "_products",
+                 "_memo", "__weakref__")
 
-    def __init__(self, algebra: Algebra, generators):
-        gens = [tuple(Fraction(x) for x in g) for g in generators]
+    def __new__(cls, algebra: Algebra, generators):
+        gens = [tuple(map(xn.rational, g)) for g in generators]
         if not gens or any(len(g) != algebra.dim for g in gens):
             raise DomainError("generators must be coefficient vectors of full length")
-        self._set(algebra, xn.rational_hnf(gens))
+        m, d = xn.clear_denominators(tuple(zip(*gens)))
+        return cls._interned(algebra, (xn.hnf(m), d))
 
-    def _set(self, algebra: Algebra, basis: xn.Mat):
-        self.algebra = algebra
-        self.basis = basis
-        self._inv = None
-        self._dual = None    # (metric, canonical basis of the dual under it)
-        self._order = None   # O(L), or the function defer_order gave
-        self._products = None  # product_coords(), or False when L is no order
-        self._hash = None
+    def __init__(self, algebra: Algebra, generators):
+        """Construction runs in __new__, which may return a lattice already
+        built."""
 
     @classmethod
-    def _canonical(cls, algebra: Algebra, basis: xn.Mat) -> "FullLattice":
-        """The lattice whose canonical basis is already known."""
-        lat = cls.__new__(cls)
-        lat._set(algebra, basis)
+    def _interned(cls, algebra: Algebra, key) -> "FullLattice":
+        """The live lattice of the algebra with this key, or a new one."""
+        lat = algebra._lattices.get(key)
+        if lat is None:
+            h, d = key
+            lat = object.__new__(cls)
+            lat.algebra = algebra
+            lat.key = key
+            lat.basis = tuple(tuple(Fraction(x, d) for x in row) for row in h)
+            lat._inv = None
+            lat._dual = None      # (metric, key of the dual under it)
+            lat._order = None     # O(L), True when L is an order, or defer_order's function
+            lat._products = None  # product_coords(), or False when L is no order
+            lat._memo = None      # partner -> {op: key of the result}, weakly keyed
+            algebra._lattices[key] = lat
         return lat
 
     @classmethod
@@ -65,13 +81,12 @@ class FullLattice:
 
     # -- identity -------------------------------------------------------------
     def __eq__(self, other):
-        return (isinstance(other, FullLattice) and self.algebra is other.algebra
-                and self.basis == other.basis)
+        return self is other or (isinstance(other, FullLattice)
+                                 and self.algebra is other.algebra
+                                 and self.key == other.key)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((id(self.algebra), self.basis))
-        return self._hash
+        return hash(self.key)
 
     def __repr__(self):
         return f"FullLattice({self.basis})"
@@ -79,6 +94,18 @@ class FullLattice:
     def _same_algebra(self, other):
         if self.algebra is not other.algebra:
             raise DomainError("lattices live in different algebras")
+
+    def _recall(self, op: str, other):
+        """The key of `self op other` remembered on self, or None."""
+        keys = None if self._memo is None else self._memo.get(other)
+        return None if keys is None else keys.get(op)
+
+    def _remember(self, op: str, other, result: "FullLattice") -> "FullLattice":
+        """Remember on self that `self op other` is result; returns result."""
+        if self._memo is None:
+            self._memo = WeakKeyDictionary()
+        self._memo.setdefault(other, {})[op] = result.key
+        return result
 
     # -- membership and containment -------------------------------------------
     def _inverse(self) -> xn.Mat:
@@ -94,14 +121,14 @@ class FullLattice:
         """The integer z with basis * z = y / k for an integer matrix y, or
         None when a column of y / k is not in L: with H = d * basis, integer
         back-substitution on the triangular H z = d y / k."""
-        h, d = xn.clear_denominators(self.basis)
+        h, d = self.key
         g = gcd(d, k)
         if g < d:
             y = tuple(tuple(x * (d // g) for x in row) for row in y)
         return xn.solve_upper(h, y, k // g)
 
     def coords(self, x) -> tuple:
-        return xn.mat_vec(self._inverse(), tuple(Fraction(c) for c in x))
+        return xn.mat_vec(self._inverse(), tuple(map(xn.rational, x)))
 
     def contains(self, x) -> bool:
         return all(c.denominator == 1 for c in self.coords(x))
@@ -115,14 +142,15 @@ class FullLattice:
 
     # -- scaling ---------------------------------------------------------------
     def scale(self, factor) -> "FullLattice":
-        """Multiply by a nonzero rational or an invertible algebra element."""
-        if isinstance(factor, (int, Fraction)):
+        """Multiply by a nonzero rational or an invertible algebra element
+        (a tuple or list of coefficients)."""
+        if not isinstance(factor, (tuple, list)):
+            factor = xn.rational(factor)
             if factor == 0:
                 raise DomainError("cannot scale a lattice by zero")
             return FullLattice(self.algebra,
-                               [tuple(Fraction(factor) * c for c in g)
-                                for g in self.generators()])
-        m = self.algebra.mult_matrix(factor)
+                               [tuple(factor * c for c in g) for g in self.generators()])
+        m = self.algebra.mult_matrix(self.algebra.element(factor))
         if xn.det(m) == 0:
             raise DomainError("scaling element is not invertible")
         return FullLattice(self.algebra, xn.columns(xn.mat_mul(m, self.basis)))
@@ -145,9 +173,14 @@ class FullLattice:
     def __mul__(self, other):
         if isinstance(other, FullLattice):
             self._same_algebra(other)
+            key = self._recall("*", other)
+            if key is not None:
+                return FullLattice._interned(self.algebra, key)
             gens = [self.algebra.mul(a, b)
                     for a in self.generators() for b in other.generators()]
-            return FullLattice(self.algebra, gens)
+            out = FullLattice(self.algebra, gens)
+            other._remember("*", self, out)
+            return self._remember("*", other, out)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -180,11 +213,19 @@ class FullLattice:
 
     # -- colon quotients ----------------------------------------------------------
     def colon(self, other) -> "FullLattice":
-        """{a in A | a*other subset of self}; metric route with a stacked fallback."""
+        """{a in A | a*other subset of self}; metric route with a stacked
+        fallback.  L : L is order(); other quotients are remembered on self."""
         self._same_algebra(other)
+        if other is self:
+            return self.order()
+        key = self._recall(":", other)
+        if key is not None:
+            return FullLattice._interned(self.algebra, key)
+        return self._remember(":", other, self._colon(other))
+
+    def _colon(self, other) -> "FullLattice":
         if self.algebra.family == "cyclic":
-            phi = canonical_metric(self.algebra)
-            return self.colon_dual(other, phi)
+            return self.colon_dual(other, canonical_metric(self.algebra))
         return self.colon_stacked(other)
 
     def colon_stacked(self, other) -> "FullLattice":
@@ -213,12 +254,12 @@ class FullLattice:
         if phi.algebra is not self.algebra:
             raise DomainError("metric belongs to a different algebra")
         if self._dual is not None and self._dual[0] is phi:
-            return FullLattice._canonical(self.algebra, self._dual[1])
+            return FullLattice._interned(self.algebra, self._dual[1])
         m = xn.mat_mul(phi.gram_inv, xn.transpose(self._inverse()))
         d = FullLattice.from_basis_matrix(self.algebra, m)
-        self._dual = (phi, d.basis)
+        self._dual = (phi, d.key)
         if phi.symmetric:
-            d._dual = (phi, self.basis)
+            d._dual = (phi, self.key)
         return d
 
     # -- orders -----------------------------------------------------------------
@@ -241,13 +282,19 @@ class FullLattice:
 
     def order(self) -> "FullLattice":
         """The order of this lattice, O(L) = L : L, or the lattice that
-        defer_order named, computed and validated on first use."""
+        defer_order named, computed and validated on first use.  A lattice
+        known to be an order is its own order (1 in L makes L : L lie in L)
+        and keeps no reference to itself, which would be a cycle."""
         o = self._order
-        if not isinstance(o, FullLattice):
-            o = self.colon(self) if o is None else o()
-            if not o.is_order():  # pragma: no cover - would be an internal bug
-                raise AssertionError("the order of a lattice failed validation")
-            self._order = o
+        if isinstance(o, FullLattice):
+            return o
+        if o is True or self._products:
+            self._order = True
+            return self
+        o = self._colon(self) if o is None else o()
+        if not o.is_order():  # pragma: no cover - would be an internal bug
+            raise AssertionError("the order of a lattice failed validation")
+        self._order = True if o is self else o
         return o
 
     def defer_order(self, compute):

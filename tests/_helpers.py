@@ -4,7 +4,7 @@ from fractions import Fraction
 from random import Random
 
 from latclass import exactnum as xn
-from latclass.algebra import cyclic_algebra
+from latclass.algebra import Algebra, cyclic_algebra
 from latclass.lattice import FullLattice
 
 # a pool of monic integer polynomials covering separable, split and
@@ -26,6 +26,15 @@ def algebra_for(coeffs):
     if key not in _ALGEBRAS:
         _ALGEBRAS[key] = cyclic_algebra(list(key))
     return _ALGEBRAS[key]
+
+
+def twin_algebra(alg):
+    """A new algebra object with the structure of alg.  Lattices are shared
+    per algebra object, so a lattice built in the twin shares no object,
+    cache or memo with alg's and computes everything afresh."""
+    return Algebra(alg.structure, alg.unit, label=alg.label, family=alg.family,
+                   defining_poly=alg.defining_poly, generator=alg.generator,
+                   validate=False)
 
 
 def random_int_matrix(rng: Random, n, lo=-4, hi=4):

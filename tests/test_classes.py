@@ -262,3 +262,11 @@ def test_unit_witness_matches_det_route():
                 assert w == _witness_by_det(t, l1, l2)
                 found += w is not None
     assert found >= 10
+
+
+def test_witness_candidates_are_sorted_once_per_shape():
+    for n, bound in ((2, 1), (3, 3), (4, 2)):
+        combos = cl._witness_combos(n, bound)
+        assert combos is cl._witness_combos(n, bound)
+        assert list(combos) == sorted(iproduct(range(-bound, bound + 1), repeat=n),
+                                      key=lambda c: (sum(abs(x) for x in c), c))

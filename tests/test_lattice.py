@@ -1,11 +1,15 @@
+import gc
 from fractions import Fraction
 from math import gcd
 from random import Random
 
 import pytest
 
-from _helpers import POLY_POOL, algebra_for, random_cyclic_order, random_lattice
+from _helpers import (POLY_POOL, algebra_for, random_cyclic_order, random_lattice,
+                      twin_algebra)
+from latclass import conjugacy as cj
 from latclass import exactnum as xn
+from latclass import families as fam
 from latclass import poly as up
 from latclass.algebra import MultMetric, canonical_metric, split_algebra
 from latclass.errors import DomainError
@@ -55,7 +59,11 @@ def test_canonical_form_is_basis_independent():
         gens = l.generators()
         u = xn.mat([[1, rng.randint(-3, 3), 0], [0, 1, 0], [rng.randint(-3, 3), 0, 1]])
         new_gens = xn.columns(xn.mat_mul(l.basis, u))
-        assert FullLattice(alg, new_gens) == l
+        assert FullLattice(alg, new_gens) is l
+        assert FullLattice(alg, new_gens + [alg.smul(2, new_gens[0])]) is l
+        # the same value in another algebra object is another lattice
+        twin = FullLattice(twin_algebra(alg), new_gens)
+        assert twin != l and twin.basis == l.basis
 
 
 def test_product_and_order():
@@ -347,7 +355,7 @@ def test_is_order_matches_contains_route():
                 l = random_lattice(rng, alg)
                 for lat in (l, l.order(), random_cyclic_order(rng, alg),
                             l.order() + l, span(alg, l.order().generators() + [alg.unit])):
-                    fresh = FullLattice(alg, lat.generators())
+                    fresh = FullLattice(twin_algebra(alg), lat.generators())
                     expected = _is_order_by_contains(fresh)
                     assert _is_order_by_in_basis(fresh) is expected
                     assert fresh.is_order() is expected
@@ -404,7 +412,8 @@ def test_rank3_invertibility_matches_product_criterion():
     by_form = 0
     for lat in lattices:
         expected = _invertible_by_product(lat)
-        assert FullLattice(lat.algebra, lat.generators()).is_invertible() is expected
+        fresh = FullLattice(twin_algebra(lat.algebra), lat.generators())
+        assert fresh.is_invertible() is expected
         seen[expected] += 1
         form = cubic_form(lat.order())
         if lat.algebra in (MIXED, SPLIT3):
@@ -451,3 +460,124 @@ def test_int_coords_matches_in_basis():
                 assert got == (expected if xn.mat_is_integral(expected) else None)
                 members += got is not None
     assert 0 < members < 90
+
+
+# -- one object per value -----------------------------------------------------------
+
+def _seeded_lattices(seed, per_poly=3):
+    rng = Random(seed)
+    for dim in (2, 3, 4, 5):
+        for coeffs in POLY_POOL[dim]:
+            alg, _ = algebra_for(coeffs)
+            for _ in range(per_poly):
+                yield rng, alg, random_lattice(rng, alg)
+
+
+def test_equality_and_hash_agree_with_canonical_bases():
+    lattices = [l for _, _, l in _seeded_lattices(51)]
+    lattices += [l * l for l in lattices[::3]] + [l.order() for l in lattices[::2]]
+    for i, l1 in enumerate(lattices):
+        h, d = l1.key
+        assert gcd(d, *(x for row in h for x in row)) == 1
+        assert l1.basis == tuple(tuple(Fraction(x, d) for x in row) for row in h)
+        for l2 in lattices[i:i + 8]:
+            same = l1.algebra is l2.algebra and l1.basis == l2.basis
+            assert (l1 == l2) is same and (l1 != l2) is not same
+            if same:
+                assert hash(l1) == hash(l2)
+    assert len(set(lattices)) == len({(id(l.algebra), l.basis) for l in lattices})
+
+
+def test_memoized_products_and_colons_match_a_fresh_algebra(monkeypatch):
+    for rng, alg, l1 in _seeded_lattices(52, per_poly=2):
+        l2 = random_lattice(rng, alg)
+        prod, quot = l1 * l2, l1.colon(l2)
+        with monkeypatch.context() as m:     # remembered: no product is taken
+            m.setattr(alg, "mul", None)
+            assert l2 * l1 is prod and l1 * l2 is prod and l1.colon(l2) is quot
+        twin = twin_algebra(alg)
+        t1 = FullLattice(twin, l1.generators())
+        t2 = FullLattice(twin, l2.generators())
+        assert (t1 * t2).basis == prod.basis
+        assert t1.colon(t2).basis == quot.basis
+
+
+def test_memoized_colon_matches_the_stacked_route():
+    rng = Random(53)
+    pairs = 0
+    for dim in (2, 3, 4):
+        for coeffs in POLY_POOL[dim]:
+            alg, _ = algebra_for(coeffs)
+            for _ in range(12):
+                l1 = random_lattice(rng, alg)
+                l2 = rng.choice((random_lattice(rng, alg), l1.order(), l1 * l1))
+                first = l1.colon(l2)
+                assert l1.colon(l2) is first == l1.colon_stacked(l2)
+                pairs += 1
+    assert pairs >= 200
+
+
+def test_dropped_lattices_leave_the_intern_table():
+    fx_alg, _ = cj.algebra_for_poly(up.poly(fam._fixture_data()["beta_minpoly"]))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tables = fam.cubic_tables()
+        assert len(fx_alg._lattices) == 0
+        fam.split202m2_tables()
+        assert len(fam.SPLIT3._lattices) == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert tables["products"].startswith("\tLambda1")
+
+
+def test_memo_keeps_nothing_for_dropped_partners():
+    alg, _ = algebra_for((16, 8, 4, 1))
+    rng = Random(54)
+    l = random_lattice(rng, alg)
+    live = random_lattice(rng, alg)
+    kept = l * live
+    for _ in range(1000):
+        l * random_lattice(rng, alg)
+        l.colon(random_lattice(rng, alg))
+    assert list(l._memo) == [live]
+    assert l * live is kept
+
+
+def test_order_does_not_depend_on_which_construction_came_first():
+    rng = Random(55)
+    seen = 0
+    while seen < 30:
+        n = rng.choice((2, 3, 4))
+        m = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+        if not cj.analyse(m).regular:
+            continue
+        # matrix_to_lattice first: order() reads the deferred centralizer order
+        lat = cj.matrix_to_lattice(m)
+        alg, key = lat.algebra, lat.key
+        by_centralizer = lat.order().basis
+        assert span(alg, lat.generators()) is lat
+        del lat
+        assert alg._lattices.get(key) is None
+        # span first: order() is L : L, and matrix_to_lattice meets it set
+        spanned = span(alg, [tuple(Fraction(x, key[1]) for x in col)
+                             for col in xn.columns(key[0])])
+        by_colon = spanned.order().basis
+        assert cj.matrix_to_lattice(m) is spanned
+        assert by_colon == by_centralizer
+        seen += 1
+
+
+@pytest.mark.parametrize("bad", [0.1, float("nan"), 1 + 0j, "nan", None])
+def test_inexact_entries_are_refused(bad):
+    alg, _ = algebra_for((5, 0, 1))
+    with pytest.raises(DomainError):
+        FullLattice(alg, [(bad, 0), (0, 1)])
+    with pytest.raises(DomainError):
+        alg.element((bad, 1))
+    for scaled in (lambda: alg.smul(bad, alg.unit), lambda: alg.scalar(bad),
+                   lambda: span(alg, [(1, 0), (0, 1)]).scale(bad)):
+        with pytest.raises(DomainError):
+            scaled()
+    assert alg.element(("1/10", 1)) == (Fraction(1, 10), Fraction(1))
