@@ -378,12 +378,24 @@ def hnf(a) -> Mat:
     return tuple(tuple(h[j][i] for j in range(rows)) for i in range(rows))
 
 
-def rational_hnf(cols) -> Mat:
-    """Canonical basis of the full lattice spanned by rational columns: scale
-    by the least d > 0 that makes them integral, take the column HNF and
-    divide back by d."""
+def hnf_key(cols) -> tuple[Mat, int]:
+    """Integer canonical form (H, d) of the full lattice spanned by rational
+    columns: d > 0 is the least integer that makes them integral and H the
+    column HNF of d times them.  As d is least, H and d share no common
+    factor, so two column sets span the same lattice iff their keys agree."""
     m, d = clear_denominators(tuple(zip(*cols)))
-    return tuple(tuple(Fraction(x, d) for x in row) for row in hnf(m))
+    return hnf(m), d
+
+
+def key_basis(h: Mat, d: int) -> Mat:
+    """The canonical basis H/d of a lattice with integer key (H, d)."""
+    return tuple(tuple(Fraction(x, d) for x in row) for row in h)
+
+
+def rational_hnf(cols) -> Mat:
+    """Canonical basis of the full lattice spanned by rational columns: the
+    basis H/d of its hnf_key."""
+    return key_basis(*hnf_key(cols))
 
 
 def snf(a) -> tuple[Mat, Mat, Mat]:

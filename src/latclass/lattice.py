@@ -25,7 +25,6 @@ is harmless: equality is by value.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from weakref import WeakKeyDictionary
 
@@ -47,8 +46,7 @@ class FullLattice:
         gens = [tuple(map(xn.rational, g)) for g in generators]
         if not gens or any(len(g) != algebra.dim for g in gens):
             raise DomainError("generators must be coefficient vectors of full length")
-        m, d = xn.clear_denominators(tuple(zip(*gens)))
-        return cls._interned(algebra, (xn.hnf(m), d))
+        return cls._interned(algebra, xn.hnf_key(gens))
 
     def __init__(self, algebra: Algebra, generators):
         """Construction runs in __new__, which may return a lattice already
@@ -59,11 +57,10 @@ class FullLattice:
         """The live lattice of the algebra with this key, or a new one."""
         lat = algebra._lattices.get(key)
         if lat is None:
-            h, d = key
             lat = object.__new__(cls)
             lat.algebra = algebra
             lat.key = key
-            lat.basis = tuple(tuple(Fraction(x, d) for x in row) for row in h)
+            lat.basis = xn.key_basis(*key)
             lat._inv = None
             lat._dual = None      # (metric, key of the dual under it)
             lat._order = None     # O(L), True when L is an order, or defer_order's function
@@ -214,10 +211,8 @@ class FullLattice:
     # -- colon quotients ----------------------------------------------------------
     def colon(self, other) -> "FullLattice":
         """{a in A | a*other subset of self}; metric route with a stacked
-        fallback.  L : L is order(); other quotients are remembered on self."""
+        fallback, remembered on self."""
         self._same_algebra(other)
-        if other is self:
-            return self.order()
         key = self._recall(":", other)
         if key is not None:
             return FullLattice._interned(self.algebra, key)

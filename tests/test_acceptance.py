@@ -455,11 +455,14 @@ def test_criterion_9_round_trip_conjugacy():
             lat = cj.matrix_to_lattice(m)
             back = cj.lattice_to_matrix(lat)
             assert up.charpoly(back) == cp
+            # each order read off the matrix's own powers
             assert cj.matrix_to_lattice(back).order() == lat.order()
+            assert cj.centralizer_order(lat.algebra, cj.analyse(back).powers) == lat.order()
             u = cj.random_unimodular(n, rng)
             conj = xn.mat_mul(xn.mat_mul(xn.unimodular_inverse(u), m), u)
             assert up.charpoly(conj) == cp
             assert cj.matrix_to_lattice(conj).order() == lat.order()
+            assert cj.centralizer_order(lat.algebra, cj.analyse(conj).powers) == lat.order()
             if done % 4 == 0 and \
                     fam.spectrum_family(cp).tag in fam.INVARIANTS:
                 assert cj.same_class(m, conj) is True

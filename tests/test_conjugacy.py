@@ -3,11 +3,12 @@ from random import Random
 
 import pytest
 
+from _helpers import twin_algebra
 from latclass import conjugacy as cj
 from latclass import exactnum as xn
 from latclass import poly as up
 from latclass.errors import DomainError
-from latclass.lattice import span
+from latclass.lattice import FullLattice, span
 
 
 def test_is_regular():
@@ -84,8 +85,12 @@ def test_lattice_to_matrix_round_trips():
         lat = cj.matrix_to_lattice(m)
         back = cj.lattice_to_matrix(lat)
         assert up.charpoly(back) == cp
-        # the order invariant is preserved
+        # the order invariant is preserved: read off back's own powers, and
+        # as L : L computed afresh in a twin algebra
         assert cj.matrix_to_lattice(back).order() == lat.order()
+        assert cj.centralizer_order(lat.algebra, cj.analyse(back).powers) == lat.order()
+        twin = FullLattice(twin_algebra(lat.algebra), lat.generators())
+        assert twin.colon(twin).basis == lat.order().basis
 
 
 def test_same_class_conjugates_and_distinct():

@@ -480,6 +480,10 @@ def test_equality_and_hash_agree_with_canonical_bases():
         h, d = l1.key
         assert gcd(d, *(x for row in h for x in row)) == 1
         assert l1.basis == tuple(tuple(Fraction(x, d) for x in row) for row in h)
+        gens = l1.generators()
+        extra = tuple(a - 3 * b for a, b in zip(gens[0], gens[-1]))
+        assert xn.hnf_key([extra] + gens[::-1]) == l1.key
+        assert xn.rational_hnf([extra] + gens) == l1.basis
         for l2 in lattices[i:i + 8]:
             same = l1.algebra is l2.algebra and l1.basis == l2.basis
             assert (l1 == l2) is same and (l1 != l2) is not same
