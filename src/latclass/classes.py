@@ -9,6 +9,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
 from math import gcd, prod
+from operator import mul
 
 from . import exactnum as xn
 from .algebra import Decomposition
@@ -43,49 +44,71 @@ def conductor(big: FullLattice, small: FullLattice) -> FullLattice:
 
 @dataclass(frozen=True)
 class FiniteQuotient:
-    """The finite quotient order/ideal with explicit coset representatives."""
+    """The finite quotient order/ideal with explicit coset representatives
+    and their integer coordinates in the order's canonical basis."""
     order: FullLattice
     ideal: FullLattice
     diagonal: tuple[int, ...]
     reps: tuple[tuple, ...]
+    coords: tuple[tuple[int, ...], ...]
 
     @property
     def size(self) -> int:
         return prod(self.diagonal)
 
 
+def _ideal_coords(order: FullLattice, ideal: FullLattice) -> tuple[list, xn.Mat]:
+    """(t, c) in the order's canonical coordinates: t[r][s] lists coordinate r
+    of b_i * b_s over i, for the canonical basis b of the order, so that
+    multiplication by the element with coordinates z has the matrix
+    [[z . e for e in row] for row in t]; c is the ideal's canonical basis,
+    triangular as both canonical bases are.  Raises DomainError unless the
+    order is an order and the ideal an ideal of it."""
+    order._same_algebra(ideal)
+    prods, c = order.product_coords(), order.int_coords(*ideal.key)
+    if prods is None or c is None:
+        raise DomainError("quotient: need an order and a sublattice of it")
+    n = len(c)
+    at = dict(zip([(i, j) for i in range(n) for j in range(i, n)], xn.columns(prods)[1:]))
+    t = [[tuple(at[min(i, s), max(i, s)][r] for i in range(n)) for s in range(n)]
+         for r in range(n)]
+    products = [[[sum(map(mul, g, e)) for e in row] for row in t] for g in xn.columns(c)]
+    if xn.solve_upper(c, [[x for a in products for x in a[r]] for r in range(n)]) is None:
+        raise DomainError("quotient: the sublattice is not an ideal of the order")
+    return t, c
+
+
 def finite_quotient(order: FullLattice, ideal: FullLattice,
                     cap: int = QUOTIENT_CAP) -> FiniteQuotient:
-    """Coset representatives of order/ideal via the Smith normal form box."""
-    if not order.contains_lattice(ideal):
-        raise DomainError("finite_quotient: ideal is not contained in the order")
-    m = xn.mat_int(order.in_basis(ideal.basis))
+    """Coset representatives of order/ideal via the Smith normal form box.
+    Raises DomainError unless ideal is an ideal of the order."""
+    _, m = _ideal_coords(order, ideal)
     u, s, _ = xn.snf(m)
-    n = order.algebra.dim
-    diag = tuple(s[i][i] for i in range(n))
+    diag = tuple(s[i][i] for i in range(len(m)))
     size = prod(diag)
     if size > cap:
         raise ResourceError(f"quotient has {size} cosets, above the cap of {cap}")
     uinv = xn.unimodular_inverse(u)
-    reps = []
-    for k in iproduct(*(range(d) for d in diag)):
-        coords = xn.mat_vec(uinv, k)
-        reps.append(xn.mat_vec(order.basis, coords))
-    return FiniteQuotient(order, ideal, diag, tuple(reps))
+    coords = tuple(xn.mat_vec(uinv, k) for k in iproduct(*(range(d) for d in diag)))
+    h, d = order.key
+    reps = tuple(tuple(Fraction(x, d) for x in xn.mat_vec(h, z)) for z in coords)
+    return FiniteQuotient(order, ideal, diag, reps, coords)
 
 
 def quotient_units(q: FiniteQuotient) -> tuple[int, list[tuple]]:
-    """Size and representatives of the unit group of the finite quotient.
+    """Size and representatives of the unit group of the finite quotient O/C,
+    for an ideal C of the order O; raises DomainError when C is not one.
 
-    x + C is a unit iff 1 lies in the lattice x*order + C.
+    x + C is a unit iff xO + C = O: in O's canonical coordinates, iff the
+    column HNF of [A_x | C] is the identity, A_x the matrix of multiplication
+    by x.
     """
-    alg = q.order.algebra
+    t, c = _ideal_coords(q.order, q.ideal)
+    one = xn.identity(len(c))
     units = []
-    ideal_gens = q.ideal.generators()
-    for x in q.reps:
-        mgens = [alg.mul(x, g) for g in q.order.generators()]
-        lat = FullLattice(alg, mgens + ideal_gens)
-        if alg.unit in lat:
+    for x, z in zip(q.reps, q.coords):
+        ax = [[sum(map(mul, z, e)) for e in row] for row in t]
+        if xn.hnf([[*ra, *rc] for ra, rc in zip(ax, c)]) == one:
             units.append(x)
     return len(units), units
 
@@ -115,14 +138,9 @@ class TauData:
 
 
 def _unit_first_basis(order: FullLattice) -> list[tuple]:
-    """A Z-basis of the order starting with 1, then the canonical columns."""
-    alg = order.algebra
-    y = order.coords(alg.unit)
-    if any(c.denominator != 1 for c in y):  # pragma: no cover - orders contain 1
-        raise DomainError("order does not contain 1")
-    v = xn.complete_to_basis([int(c) for c in y])
-    cols = xn.columns(xn.mat_mul(order.basis, xn.mat_fractions(v)))
-    return cols
+    """A Z-basis of an order starting with 1, then the canonical columns."""
+    v = xn.complete_to_basis(xn.columns(order.product_coords())[0])
+    return xn.columns(xn.mat_mul(order.basis, v))
 
 
 def faddeev_tau(order: FullLattice) -> TauData:
@@ -255,6 +273,23 @@ def norm_form(mults) -> list[tuple[int, tuple[int, ...]]]:
     return [(k, vars_) for (vars_, _), k in states.items()]
 
 
+def norm_values(form, points):
+    """The value of the form (as norm_form gives it) at each point, lazily.
+    Each prefix c_j1 ... c_jk of a term's monomial is multiplied out once per
+    point, from the value of its own prefix, so terms share their prefixes."""
+    levels, index = [], {(): 0}
+    for k in range(1, len(form[0][1])):
+        prefixes = dict.fromkeys(vars_[:k] for _, vars_ in form)
+        levels.append([(index[v[:-1]], v[-1]) for v in prefixes])
+        index = {v: i for i, v in enumerate(prefixes)}
+    terms = [(a, index[v[:-1]], v[-1]) for a, v in form]
+    for c in points:
+        vals = (1,)
+        for steps in levels:
+            vals = [vals[i] * c[j] for i, j in steps]
+        yield sum([a * vals[i] * c[j] for a, i, j in terms])
+
+
 @cache
 def _witness_combos(n: int, bound: int) -> tuple[tuple[int, ...], ...]:
     """The coefficient vectors in [-bound, bound]^n by increasing absolute
@@ -285,8 +320,9 @@ def principal_unit_witness(transporter: FullLattice, source: FullLattice,
     if norm.denominator != 1:
         return None
     form = norm_form([rows[j * n:(j + 1) * n] for j in range(n)])
-    for coeffs in _witness_combos(n, bound):
-        if abs(sum(a * prod(coeffs[j] for j in vars_) for a, vars_ in form)) != norm:
+    combos = _witness_combos(n, bound)
+    for coeffs, value in zip(combos, norm_values(form, combos)):
+        if abs(value) != norm.numerator:
             continue
         u = tuple(sum(Fraction(c) * g[i] for c, g in zip(coeffs, gens))
                   for i in range(n))

@@ -174,7 +174,7 @@ def rational(x) -> Fraction:
 
 
 def mat_fractions(a) -> Mat:
-    return tuple(tuple(Fraction(x) for x in row) for row in a)
+    return tuple(tuple(map(rational, row)) for row in a)
 
 
 def mat_is_integral(a) -> bool:
@@ -479,9 +479,14 @@ def snf(a) -> tuple[Mat, Mat, Mat]:
 
 
 def unimodular_inverse(a) -> Mat:
-    """Integer inverse of a unimodular integer matrix."""
-    inv = rmat_inv(a)
-    return mat_int(inv)
+    """Integer inverse of a unimodular integer matrix: fraction-free
+    elimination takes [a | I] to [p*I | p*a^-1], with last pivot p = +-1."""
+    n = len(a)
+    rows = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(mat_int(a))]
+    pivots, p, _ = _eliminate(rows, n)
+    if len(pivots) < n or abs(p) != 1 or any(len(row) != 2 * n for row in rows):
+        raise DomainError("unimodular_inverse: matrix is not unimodular")
+    return tuple(tuple(p * x for x in row[n:]) for row in rows)
 
 
 def complete_to_basis(y) -> Mat:

@@ -775,10 +775,11 @@ def orders_between(small: FullLattice, big: FullLattice) -> list[FullLattice]:
     ResourceError before building any lattice when there are more than
     classes.QUOTIENT_CAP such H.
     """
-    if not big.contains_lattice(small):
+    big._same_algebra(small)
+    t = big.int_coords(*small.key)
+    if t is None:
         raise DomainError("orders_between: containment fails")
     n = big.algebra.dim
-    t = xn.mat_int(big.in_basis(small.basis))
     u, s, _ = xn.snf(t)
     diags = [xn.divisors(s[i][i]) for i in range(n)]
     count = prod(sum(d ** (n - 1 - i) for d in ds) for i, ds in enumerate(diags))
@@ -899,15 +900,15 @@ def cubic_tables() -> dict[str, str]:
         rows.append("\t".join(row))
     t32 = "\n".join(rows)
 
-    # every quotient is kept until all are named: cells of one value then
-    # share the lattice object, with its order and colons
+    # cells of one value share one interned quotient, named once
     quotients = {(n1, n2): reps[n1].colon(reps[n2])
                  for n1 in CUBIC_NAMES for n2 in CUBIC_NAMES}
+    names = {q: rep_name_eps(q) for q in dict.fromkeys(quotients.values())}
     rows = [header]
     for n1 in CUBIC_NAMES:
         row = [CUBIC_DISPLAY[n1]]
         for n2 in CUBIC_NAMES:
-            row.append(rep_name_eps(quotients[n1, n2]))
+            row.append(names[quotients[n1, n2]])
         rows.append("\t".join(row))
     t33 = "\n".join(rows)
 

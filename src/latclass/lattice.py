@@ -9,18 +9,18 @@ returns the object already in the table when there is one: there is one
 object per value, and equality and hashing compare keys.
 
 A lattice is immutable, so what it computes about itself is kept and shared
-by every construction of it: the inverse of its basis (membership,
-containment, index, the stacked colon), the coordinates of its basis
-products (is_order), its order and its dual under the canonical metric, the
-columns of G^-1 (B^-1)^T, from the basis inverse B^-1 and the inverse Gram
-matrix G^-1 that each MultMetric computes once.  L1 * L2 and L1.colon(L2)
-remember the key of their result on the operands, in a table keyed weakly by
-the partner lattice and made on first use, so a lattice keeps nothing for
-partners that have died.  A cached dual or product is kept as a key and
-looked up in the table again, and an order keeps no reference to itself, so
-lattices form no reference cycles and die as soon as they are dropped.  Two
-threads building the same lattice at once may make two equal objects, which
-is harmless: equality is by value.
+by every construction of it: the inverse of its basis (duals, intersections,
+the stacked colon; membership and containment back-substitute on H), the
+coordinates of its basis products (is_order), its order and its dual under
+the canonical metric, the columns of G^-1 (B^-1)^T, from the basis inverse
+B^-1 and the inverse Gram matrix G^-1 that each MultMetric computes once.
+L1 * L2 and L1.colon(L2) remember the key of their result on the operands,
+in a table keyed weakly by the partner lattice and made on first use, so a
+lattice keeps nothing for partners that have died.  A cached dual or product
+is kept as a key and looked up in the table again, and an order keeps no
+reference to itself, so lattices form no reference cycles and die as soon as
+they are dropped.  Two threads building the same lattice at once may make
+two equal objects, which is harmless: equality is by value.
 """
 
 from __future__ import annotations
@@ -124,18 +124,16 @@ class FullLattice:
             y = tuple(tuple(x * (d // g) for x in row) for row in y)
         return xn.solve_upper(h, y, k // g)
 
-    def coords(self, x) -> tuple:
-        return xn.mat_vec(self._inverse(), tuple(map(xn.rational, x)))
-
     def contains(self, x) -> bool:
-        return all(c.denominator == 1 for c in self.coords(x))
+        y, k = xn.clear_denominators([(c,) for c in self.algebra.element(x)])
+        return self.int_coords(y, k) is not None
 
     def __contains__(self, x):
         return self.contains(x)
 
     def contains_lattice(self, other) -> bool:
         self._same_algebra(other)
-        return xn.mat_is_integral(self.in_basis(other.basis))
+        return self.int_coords(*other.key) is not None
 
     # -- scaling ---------------------------------------------------------------
     def scale(self, factor) -> "FullLattice":
@@ -331,12 +329,12 @@ def _std_dual(l: FullLattice) -> FullLattice:
 
 
 def index(sup: FullLattice, sub: FullLattice) -> int:
-    """[sup : sub] for nested full lattices."""
+    """[sup : sub] for nested full lattices: det of sub's coordinates in sup."""
     sup._same_algebra(sub)
-    t = sup.in_basis(sub.basis)
-    if not xn.mat_is_integral(t):
+    t = sup.int_coords(*sub.key)
+    if t is None:
         raise DomainError("index: second lattice is not contained in the first")
-    return abs(int(xn.det(t)))
+    return xn.det(t)
 
 
 def dedekind_chain(l: FullLattice) -> list[FullLattice]:

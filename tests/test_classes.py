@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product as iproduct
 from math import prod
@@ -8,9 +9,11 @@ import pytest
 from _helpers import POLY_POOL, algebra_for, random_lattice
 from latclass import classes as cl
 from latclass import exactnum as xn
+from latclass import families as fam
+from latclass import quadform as qf
 from latclass.algebra import decompose, mixed_algebra, split_algebra
 from latclass.errors import DomainError, ResourceError
-from latclass.lattice import span
+from latclass.lattice import FullLattice, span
 
 
 def beta_setup():
@@ -82,6 +85,68 @@ def test_quotient_units_cubic_fixture():
     q = cl.finite_quotient(lam1, lam1)
     assert q.size == 1
     assert cl.quotient_units(q)[0] == 1
+
+
+def _units_by_lattice(q):
+    """The former unit test, kept as the oracle: x + C is a unit iff 1 lies in
+    the lattice x*O + C, built as a FullLattice."""
+    alg = q.order.algebra
+    return [x for x in q.reps
+            if alg.unit in FullLattice(alg, [alg.mul(x, g) for g in q.order.generators()]
+                                       + q.ideal.generators())]
+
+
+def _conductor_quotients():
+    """(order, conductor) pairs: the cubic fixture's three conductors with
+    Lambda_1 and with the small order, the eight split3 fixture orders with
+    their conductors and the maximal order Z^3, and the quadratic orders
+    Z + n*Lambda_1 (n <= 12) with n*Lambda_1 and Lambda_1."""
+    fx = fam.cubic_fixture()
+    for name in ("L2", "L3", "L4"):
+        c = cl.conductor(fx.orders["L1"], fx.orders[name])
+        yield fx.orders["L1"], c
+        yield fx.orders[name], c
+    z3 = span(fam.SPLIT3, xn.columns(xn.identity(3)))
+    for params in fam.SPLIT_FIXTURE_PARAMS.values():
+        p = fam.SplitOrderParams(*params)
+        _, c = fam.split3_conductor(p)
+        yield fam.split3_order_lattice(p), c
+        yield z3, c
+    for delta in (-3, 5):
+        lam1 = qf.order_lambda_n(delta, 1)
+        for n in range(1, 13):
+            yield lam1, lam1.scale(n)
+            yield qf.order_lambda_n(delta, n), lam1.scale(n)
+
+
+def test_quotient_units_match_the_lattice_route():
+    cases = units = 0
+    for order, ideal in _conductor_quotients():
+        q = cl.finite_quotient(order, ideal)
+        assert len(q.reps) == len(q.coords) == q.size
+        for x, z in zip(q.reps, q.coords):
+            assert x == xn.mat_vec(order.basis, z)
+        count, got = cl.quotient_units(q)
+        assert got == _units_by_lattice(q) and count == len(got)
+        cases += 1
+        units += count
+    assert cases == 70 and units > 1000
+
+
+def test_quotients_need_an_ideal_of_an_order():
+    alg, beta, lam1, lam2, lam3, *_ = beta_setup()
+    # lam3 = Z + 2*lam1 is an order inside lam1, but no lam1-ideal
+    with pytest.raises(DomainError, match="not an ideal"):
+        cl.finite_quotient(lam1, lam3)
+    q = cl.finite_quotient(lam1, lam1.scale(2))
+    with pytest.raises(DomainError, match="not an ideal"):
+        cl.quotient_units(replace(q, ideal=lam3))
+    with pytest.raises(DomainError):            # not contained in the order
+        cl.finite_quotient(lam3, lam1)
+    with pytest.raises(DomainError):            # not an order
+        cl.finite_quotient(lam1.scale(2), lam1.scale(4))
+    with pytest.raises(DomainError):            # another algebra
+        cl.finite_quotient(lam1, span(split_algebra(3), xn.columns(xn.identity(3))))
 
 
 def test_quotient_resource_cap():
@@ -240,10 +305,13 @@ def test_norm_form_matches_bareiss_on_every_candidate():
                 mults, _ = _scaled_mults(t)
                 form = cl.norm_form(mults)
                 assert all(type(a) is int for a, _ in form)
-                for c in iproduct(range(-3, 4), repeat=dim):
-                    m = [[sum(x * mj[r][s] for x, mj in zip(c, mults))
-                          for s in range(dim)] for r in range(dim)]
-                    assert sum(a * prod(c[j] for j in js) for a, js in form) == xn.det(m)
+                points = cl._witness_combos(dim, 3)
+                dets = [xn.det([[sum(x * mj[r][s] for x, mj in zip(c, mults))
+                                 for s in range(dim)] for r in range(dim)])
+                        for c in points]
+                assert [sum(a * prod(c[j] for j in js) for a, js in form)
+                        for c in points] == dets
+                assert list(cl.norm_values(form, points)) == dets
 
 
 def test_unit_witness_matches_det_route():

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from latclass import exactnum as xn
+from latclass.conjugacy import random_unimodular
 from latclass.errors import DomainError, RankError, ResourceError
 
 
@@ -420,6 +421,21 @@ def test_det_int_path_matches_fraction_path():
         assert type(xn.det(xn.mat_fractions(m))) is Fraction
     assert xn.det([[2, 1], [Fraction(1, 2), 1]]) == Fraction(3, 2)
     assert xn.det([[0, 1], [1, 0]]) == -1
+
+
+def test_unimodular_inverse_matches_rmat_inv():
+    rng = Random(14)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        u = random_unimodular(n, rng, length=12)
+        inv = xn.unimodular_inverse(u)
+        assert all(type(x) is int for row in inv for x in row)
+        assert inv == xn.rmat_inv(u)
+    assert xn.unimodular_inverse([[-1]]) == ((-1,),)
+    for bad in ([[2]], [[1, 2], [2, 4]], [[2, 1], [1, 1], [0, 1]], [[1, 0, 0], [0, 1, 0]],
+                [[1, 0], [0]], [[1, Fraction(1, 2)], [0, 1]]):
+        with pytest.raises(DomainError):
+            xn.unimodular_inverse(bad)
 
 
 def test_factorize_cap(monkeypatch):

@@ -462,6 +462,35 @@ def test_int_coords_matches_in_basis():
     assert 0 < members < 90
 
 
+def test_membership_matches_in_basis_route():
+    """contains, contains_lattice and index back-substitute on the integer
+    key; the former routes through the rational basis inverse are the oracle."""
+    lattices = contained = members = 0
+    for rng, alg, l in _seeded_lattices(61, per_poly=14):
+        other = random_lattice(rng, alg)
+        for sup, sub in ((l, l & other), (l + other, l), (l, other), (other, l)):
+            t = sup.in_basis(sub.basis)
+            inside = xn.mat_is_integral(t)
+            assert sup.contains_lattice(sub) is inside
+            if inside:
+                assert index(sup, sub) == abs(xn.det(t))
+                contained += 1
+            else:
+                with pytest.raises(DomainError):
+                    index(sup, sub)
+        for g in other.generators() + [alg.unit]:
+            # a point of l, shifted by g or not
+            x = xn.mat_vec(l.basis, [rng.randint(-3, 3) for _ in range(alg.dim)])
+            x = tuple(a + rng.choice((0, 1)) * b for a, b in zip(x, g))
+            expected = all(c.denominator == 1 for c in xn.mat_vec(l._inverse(), x))
+            assert l.contains(x) is expected
+            members += expected
+        lattices += 1
+    assert lattices >= 300 and contained > 600 and 400 < members < 1000
+    with pytest.raises(DomainError):
+        l.contains((1,) * (alg.dim + 1))
+
+
 # -- one object per value -----------------------------------------------------------
 
 def _seeded_lattices(seed, per_poly=3):
@@ -585,3 +614,10 @@ def test_inexact_entries_are_refused(bad):
         with pytest.raises(DomainError):
             scaled()
     assert alg.element(("1/10", 1)) == (Fraction(1, 10), Fraction(1))
+    with pytest.raises(DomainError):
+        xn.mat_fractions([[bad, 0]])
+    t = alg.element((0, 1))
+    with pytest.raises(DomainError, match="inexact|not a rational"):
+        cj.matrix_for(span(alg, [(1, 0), (0, 1)]), t, basis=[[bad, 0], [0, 10]])
+    with pytest.raises(DomainError, match="does not span"):
+        cj.matrix_for(span(alg, [(1, 0), (0, 1)]), t, basis=[["1/10", 0], [0, 10]])
