@@ -1,9 +1,9 @@
-"""The closed-form split-family arithmetic against the lattice route it
-replaced: normal forms by scaling and re-taking the HNF, orders by the colon
-L : L, and representative matrices on an explicitly given basis."""
+"""The closed-form split- and mixed-family arithmetic against the lattice
+route it replaced: normal forms by scaling and re-taking the HNF, orders by
+the colon L : L, and representative matrices on an explicitly given basis."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 from random import Random
 
@@ -11,6 +11,7 @@ from _helpers import random_lattice
 
 from latclass import families as fam
 from latclass.conjugacy import matrix_for
+from latclass.errors import DomainError
 from latclass.lattice import FullLattice, span
 
 F = Fraction
@@ -53,10 +54,38 @@ def oracle_split3_enumerate(lams):
                 if oracle_split3_normalize(lat) != (d1, d2, d3):
                     continue
                 basis = ((1, d1, d3), (0, 1, d2), (0, 0, 1))
-                out.append({"triple": (d1, d2, d3), "lattice": lat,
+                out.append({"triple": (d1, d2, d3),
                             "matrix": matrix_for(lat, g, basis=basis),
                             "order": fam.split3_order_params(lat.order())})
     out.sort(key=lambda r: r["triple"])
+    return out
+
+
+def oracle_mixed_enumerate(alpha, max_n2):
+    """Every triple (i/alpha, alpha/n2, j/n2) with i, j in [0, alpha) that
+    the lattice route normalizes to itself and whose lattice alpha*e1 + a
+    keeps, with its matrix on the normal-form basis; by n2, then by triple."""
+    g = fam.MIXED.element((alpha, 0, 1))
+    out = []
+    for n2 in range(1, max_n2 + 1):
+        d2 = F(alpha, n2)
+        recs, seen = [], set()
+        for i in range(alpha):
+            for j in range(alpha):
+                triple = (F(i, alpha), d2, F(j, n2))
+                lat = fam.mixed_lattice_of_triple(*triple)
+                t = fam.mixed_normalize(lat)
+                if t in seen or t[1] != d2:
+                    continue
+                seen.add(t)
+                d1, _, d3 = t
+                basis = ((0, 1, d1), (0, 0, 1), (d2, d3, 0))
+                try:
+                    m = matrix_for(fam.mixed_lattice_of_triple(*t), g, basis=basis)
+                except DomainError:
+                    continue
+                recs.append({"triple": t, "matrix": m})
+        out += sorted(recs, key=lambda r: r["triple"])
     return out
 
 
@@ -84,9 +113,32 @@ def test_split3_order_of_triple_matches_colon():
             fam.split3_order_params(lat.order()), (d1, d2, d3)
 
 
+def _class_data(recs):
+    return [{k: r[k] for k in ("triple", "matrix", "order")} for r in recs]
+
+
 def test_split3_enumerate_matches_lattice_route():
     for lams in combinations(range(-4, 5), 3):
-        assert fam.split3_enumerate_classes(lams) == oracle_split3_enumerate(lams), lams
+        assert _class_data(fam.split3_enumerate_classes(lams)) == \
+            oracle_split3_enumerate(lams), lams
+
+
+def test_split3_enumerate_matches_lattice_route_in_any_eigenvalue_order():
+    # the CLI passes the fixture eigenvalues as (-2, 2, 0)
+    for lams in [*permutations((-2, 0, 2)), *permutations((-3, 1, 4)),
+                 *permutations((-1, 0, 3))]:
+        assert _class_data(fam.split3_enumerate_classes(lams)) == \
+            oracle_split3_enumerate(lams), lams
+
+
+def test_mixed_enumerate_matches_lattice_route():
+    for alpha in range(1, 13):
+        expected = oracle_mixed_enumerate(alpha, 5)
+        for max_n2 in range(1, 6):
+            recs = [{k: r[k] for k in ("triple", "matrix")}
+                    for r in fam.mixed_enumerate(alpha, max_n2)]
+            assert recs == [r for r in expected if r["triple"][1] * max_n2 >= alpha], \
+                (alpha, max_n2)
 
 
 def test_split2_normalize_matches_lattice_route():
