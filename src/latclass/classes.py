@@ -4,7 +4,7 @@ the class-group size ratio, and the tau count of w-classes in dimension 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
@@ -42,21 +42,6 @@ def conductor(big: FullLattice, small: FullLattice) -> FullLattice:
     return c
 
 
-@dataclass(frozen=True)
-class FiniteQuotient:
-    """The finite quotient order/ideal with explicit coset representatives
-    and their integer coordinates in the order's canonical basis."""
-    order: FullLattice
-    ideal: FullLattice
-    diagonal: tuple[int, ...]
-    reps: tuple[tuple, ...]
-    coords: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return prod(self.diagonal)
-
-
 def _ideal_coords(order: FullLattice, ideal: FullLattice) -> tuple[list, xn.Mat]:
     """(t, c) in the order's canonical coordinates: t[r][s] lists coordinate r
     of b_i * b_s over i, for the canonical basis b of the order, so that
@@ -78,37 +63,57 @@ def _ideal_coords(order: FullLattice, ideal: FullLattice) -> tuple[list, xn.Mat]
     return t, c
 
 
-def finite_quotient(order: FullLattice, ideal: FullLattice,
-                    cap: int = QUOTIENT_CAP) -> FiniteQuotient:
-    """Coset representatives of order/ideal via the Smith normal form box.
-    Raises DomainError unless ideal is an ideal of the order."""
-    _, m = _ideal_coords(order, ideal)
-    u, s, _ = xn.snf(m)
-    diag = tuple(s[i][i] for i in range(len(m)))
-    size = prod(diag)
-    if size > cap:
-        raise ResourceError(f"quotient has {size} cosets, above the cap of {cap}")
-    uinv = xn.unimodular_inverse(u)
-    coords = tuple(xn.mat_vec(uinv, k) for k in iproduct(*(range(d) for d in diag)))
-    h, d = order.key
-    reps = tuple(tuple(Fraction(x, d) for x in xn.mat_vec(h, z)) for z in coords)
-    return FiniteQuotient(order, ideal, diag, reps, coords)
+@dataclass(frozen=True)
+class FiniteQuotient:
+    """The finite quotient order/ideal, worked out once from the pair: the
+    Smith normal form box, coset representatives with their integer
+    coordinates in the order's canonical basis, and the (t, c) of
+    _ideal_coords that validated it.  Raises DomainError unless ideal is an
+    ideal of the order, and ResourceError above cap cosets."""
+    order: FullLattice
+    ideal: FullLattice
+    cap: InitVar[int] = QUOTIENT_CAP
+    diagonal: tuple[int, ...] = field(init=False)
+    reps: tuple[tuple, ...] = field(init=False)
+    coords: tuple[tuple[int, ...], ...] = field(init=False)
+    table: list = field(init=False, repr=False)
+    ideal_basis: xn.Mat = field(init=False, repr=False)
+
+    def __post_init__(self, cap: int):
+        t, m = _ideal_coords(self.order, self.ideal)
+        u, s, _ = xn.snf(m)
+        size = prod(diag := tuple(s[i][i] for i in range(len(m))))
+        if size > cap:
+            raise ResourceError(f"quotient has {size} cosets, above the cap of {cap}")
+        uinv = xn.unimodular_inverse(u)
+        coords = tuple(xn.mat_vec(uinv, k) for k in iproduct(*(range(d) for d in diag)))
+        h, d = self.order.key
+        reps = tuple(tuple(Fraction(x, d) for x in xn.mat_vec(h, z)) for z in coords)
+        for name, value in (("diagonal", diag), ("reps", reps), ("coords", coords),
+                            ("table", t), ("ideal_basis", m)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def size(self) -> int:
+        return prod(self.diagonal)
+
+
+finite_quotient = FiniteQuotient    # finite_quotient(order, ideal, cap=QUOTIENT_CAP)
 
 
 def quotient_units(q: FiniteQuotient) -> tuple[int, list[tuple]]:
     """Size and representatives of the unit group of the finite quotient O/C,
-    for an ideal C of the order O; raises DomainError when C is not one.
+    for the ideal C of the order O that finite_quotient validated.
 
     x + C is a unit iff xO + C = O: in O's canonical coordinates, iff the
     column HNF of [A_x | C] is the identity, A_x the matrix of multiplication
     by x.
     """
-    t, c = _ideal_coords(q.order, q.ideal)
-    one = xn.identity(len(c))
+    one = xn.identity(len(q.ideal_basis))
     units = []
     for x, z in zip(q.reps, q.coords):
-        ax = [[sum(map(mul, z, e)) for e in row] for row in t]
-        if xn.hnf([[*ra, *rc] for ra, rc in zip(ax, c)]) == one:
+        ax = [[sum(map(mul, z, e)) for e in row] for row in q.table]
+        if xn.hnf([[*ra, *rc] for ra, rc in zip(ax, q.ideal_basis)]) == one:
             units.append(x)
     return len(units), units
 

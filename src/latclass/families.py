@@ -12,7 +12,7 @@ Families covered:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from importlib.resources import files
 from itertools import product as iproduct
@@ -155,9 +155,7 @@ def split3_orders_above(p: SplitOrderParams) -> list[SplitOrderParams]:
     for b1 in xn.divisors(p.a1):
         for b2 in xn.divisors(p.a2):
             for b3 in range(-((b1 - 1) // 2), b1 // 2 + 1):
-                if (b3 * (b2 - b3)) % b1:
-                    continue
-                if ((p.a2 // b2) * b3 - p.a3) % b1:
+                if (b3 * (b2 - b3)) % b1 or ((p.a2 // b2) * b3 - p.a3) % b1:
                     continue
                 out.append(SplitOrderParams(b1, b2, b3))
     return sorted(out, key=lambda q: (q.a1, q.a2, q.a3))
@@ -166,8 +164,7 @@ def split3_orders_above(p: SplitOrderParams) -> list[SplitOrderParams]:
 def split_unit_size(order: FullLattice) -> int:
     """Number of sign vectors contained in the order."""
     alg = order.algebra
-    n = alg.dim
-    return sum(1 for signs in iproduct((1, -1), repeat=n)
+    return sum(1 for signs in iproduct((1, -1), repeat=alg.dim)
                if alg.element(signs) in order)
 
 
@@ -212,22 +209,24 @@ def split3_group_size(p: SplitOrderParams) -> int:
     return _split3_unit_row(p)[-1]
 
 
-def _split_normal_window(d1: Fraction, d2: Fraction, d3: Fraction) -> bool:
-    if not (0 <= d2 <= HALF and 0 <= d3 <= HALF):
+def _split_normal_window(n1, n2, n3, den=1) -> bool:
+    """Whether (n1, n2, n3)/den lies in the window (Fractions over den = 1)."""
+    if not (0 <= 2 * n2 <= den and 0 <= 2 * n3 <= den):
         return False
-    if 0 < d2 < HALF and 0 < d3 < HALF:
-        return 0 <= d1 < 1
-    if d2 == HALF and 0 < d3 < HALF:
-        return 0 <= d1 <= 2 * d3
-    if (d2, d3) == (HALF, HALF):
-        return 0 <= d1 < HALF
+    inner3 = 0 < 2 * n3 < den
+    if 0 < 2 * n2 < den and inner3:
+        return 0 <= n1 < den
+    if 2 * n2 == den and inner3:
+        return 0 <= n1 <= 2 * n3
+    if 2 * n2 == den == 2 * n3:
+        return 0 <= 2 * n1 < den
     # remaining boundary cases share the window [0, 1/2]
-    return 0 <= d1 <= HALF
+    return 0 <= 2 * n1 <= den
 
 
-def _split3_normal_triple(d1: Fraction, d2: Fraction,
-                          d3: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """The normal form of the class of <(1,0,0), (d1,1,0), (d3,d2,1)>.
+def _split3_normal_triple(n1, n2, n3, den=1) -> tuple:
+    """The normal form of the class of <(1,0,0), (d1,1,0), (d3,d2,1)> with
+    (d1, d2, d3) = (n1, n2, n3)/den, as numerators over den.
 
     The sign unit (1, s1, s2) (one per class of sign vectors modulo -1)
     takes that basis, with its columns flipped back to a positive diagonal,
@@ -239,15 +238,14 @@ def _split3_normal_triple(d1: Fraction, d2: Fraction,
     (1/3, 1/2, 0) also contains (1/3, 1/2, 1/3)), so ties are broken
     lexicographically.
     """
-    cands = set()
+    cands = []
     for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        e1, e2, e3 = s1 * d1, s1 * s2 * d2, s2 * d3
-        q = e2.__floor__()
-        cands.add((e1 % 1, e2 - q, (e3 - q * e1) % 1))
-    valid = sorted(c for c in cands if _split_normal_window(*c))
-    if not valid:  # pragma: no cover - the window reductions always land
-        raise AssertionError("no candidate passed the normal-form window")
-    return valid[0]
+        e1, e2, e3 = s1 * n1, s1 * s2 * n2, s2 * n3
+        q = e2 // den
+        c = (e1 % den, e2 - q * den, (e3 - q * e1) % den)
+        if _split_normal_window(*c, den):
+            cands.append(c)
+    return min(cands)
 
 
 def split3_normalize(l: FullLattice) -> tuple[Fraction, Fraction, Fraction]:
@@ -256,13 +254,13 @@ def split3_normalize(l: FullLattice) -> tuple[Fraction, Fraction, Fraction]:
     The positive unit (1/b00, 1/b11, 1/b22) scales the rows of the canonical
     basis b to the unipotent basis with d1 = b01/b00, d2 = b12/b11 and
     d3 = b02/b00, already reduced into [0, 1); the sign units then act on
-    that triple in closed form (_split3_normal_triple).
+    that triple in closed form (_split3_normal_triple), over one denominator.
     """
     if l.algebra is not SPLIT3:
         raise DomainError("split3_normalize: lattice is not in the split algebra")
-    b = l.basis
-    return _split3_normal_triple(b[0][1] / b[0][0], b[1][2] / b[1][1],
-                                 b[0][2] / b[0][0])
+    (h00, h01, h02), (_, h11, h12), _ = l.key[0]
+    t = _split3_normal_triple(h01 * h11, h12 * h00, h02 * h11, h00 * h11)
+    return tuple(Fraction(x, h00 * h11) for x in t)
 
 
 def split3_lattice_of_triple(d1, d2, d3) -> FullLattice:
@@ -275,51 +273,66 @@ def split3_order_of_triple(d1: Fraction, d2: Fraction, d3: Fraction) -> SplitOrd
     x*1 + (y1, y2, 0) lies in O(L) iff x, y1 and y2 are integers and
     (y1 - y2)*d1, y2*d2 and y1*d3 - y2*d1*d2 are integers.  So a1 is the
     least y1 > 0 with y2 = 0, and a2 the least y2 > 0 that admits some y1
-    (unique mod a1), which is a3 centred.  y2 is a multiple of den(d2), and
-    y2 = y1 = lcm(den d2, den(d3 - d1*d2)) satisfies every condition, which
-    bounds the search.
+    (unique mod a1), which is a3 centred.  With q_i = den(d_i), m = d1*d2*q3:
+    y1 = y2 mod q1 and y1 = y2*m/num(d3) mod q3, so y2 = t*base, base =
+    lcm(q2, den m), and the residues agree mod g = gcd(q1, q3) iff g divides
+    t*(base - w) for w = base*m/num(d3) mod q3.
     """
-    a1 = lcm(d1.denominator, d3.denominator)
-    step = d2.denominator
-    for y2 in range(step, lcm(step, (d3 - d1 * d2).denominator) + 1, step):
-        for y1 in range(a1):
-            if ((y1 - y2) * d1).denominator == 1 \
-                    and (y1 * d3 - y2 * d1 * d2).denominator == 1:
-                return SplitOrderParams(a1, y2, _centered(y1, a1))
-    raise AssertionError("no y2 up to the bound admits a y1")  # pragma: no cover
+    q1, q3 = d1.denominator, d3.denominator
+    a1, g = lcm(q1, q3), gcd(q1, q3)
+    m = Fraction(d1.numerator * d2.numerator * q3, q1 * d2.denominator)
+    base = lcm(d2.denominator, m.denominator)
+    w = base // m.denominator * m.numerator * pow(d3.numerator, -1, q3)
+    a2 = base * (g // gcd(g, base - w))
+    r = a2 // base * w - a2           # y1 = a2 + q1*k with q1*k = r mod q3
+    y1 = a2 + q1 * (r // g * pow(q1 // g, -1, q3 // g))
+    return SplitOrderParams(a1, a2, _centered(y1, a1))
+
+
+def split3_cyclic_order(lams: tuple[int, int, int]) -> SplitOrderParams:
+    """The order parameters of Z[g], g = lams . e, in closed form:
+    (|(l1 - l3)(l1 - l2)|, |l2 - l3|, (l1 - l3)*sgn(l2 - l3) centred)."""
+    l1, l2, l3 = lams
+    a1 = abs((l1 - l3) * (l1 - l2))
+    return SplitOrderParams(a1, abs(l2 - l3),
+                            _centered(l1 - l3 if l2 > l3 else l3 - l1, a1))
 
 
 def split3_enumerate_classes(lams: tuple[int, int, int]) -> list[dict]:
-    """All unit classes of ideals of Z[lams . e], with their normal-form
-    bases and representative matrices."""
+    """All unit classes of ideals of Z[lams . e] by normal triple, with order
+    and matrix, from the candidates (i/den1, j/a2, k/a1) as numerators over
+    one den; raises ResourceError above classes.QUOTIENT_CAP candidates."""
     if len(set(lams)) != 3:
         raise DomainError("split3_enumerate_classes: eigenvalues must be distinct")
-    g = SPLIT3.element(lams)
-    zg = span(SPLIT3, [SPLIT3.unit, g, SPLIT3.mul(g, g)])
-    p = split3_order_params(zg)
-    den1 = gcd(p.a1, p.a2 - p.a3)
+    a1, a2, a3 = astuple(split3_cyclic_order(lams))
+    den1 = gcd(a1, a2 - a3)
+    count = den1 * (a2 // 2 + 1) * (a1 // 2 + 1)
+    if count > cl.QUOTIENT_CAP:
+        raise ResourceError(f"split3_enumerate_classes: {count} candidate triples, "
+                            f"above the cap of {cl.QUOTIENT_CAP}")
+    l1, l2, l3 = lams
+    sgn = 1 if l2 > l3 else -1
+    den = lcm(a1, a2)     # den1 divides a1
     out = []
     for i in range(den1):
-        d1 = Fraction(i, den1)
-        for j in range(p.a2 // 2 + 1):
-            d2 = Fraction(j, p.a2)
-            for k in range(p.a1 // 2 + 1):
-                d3 = Fraction(k, p.a1)
-                if not _split_normal_window(d1, d2, d3):
+        for j in range(a2 // 2 + 1):
+            for k in range(a1 // 2 + 1):
+                # g on ((1, d1, d3), (0, 1, d2), (0, 0, 1)) is [[l1, d1(l1-l2),
+                # d3(l1-l3) - d1*d2(l2-l3)], [0, l2, sgn*j], [0, 0, l3]]; as a3 =
+                # sgn(l1-l3) mod a1, the corner is integral (L is stable) iff
+                # a1*den1 divides a3*k*den1 - i*j*a1
+                corner, r = divmod(k * (l1 - l3) * den1 - sgn * i * j * a1, a1 * den1)
+                if r:
                     continue
-                # the denominators of d1, d2, d3 make a1*d1, (a2-a3)*d1,
-                # a2*d2 and a1*d3 integers; this stability condition remains
-                if (p.a3 * d3 - p.a2 * d1 * d2).denominator != 1:
-                    continue
-                if _split3_normal_triple(d1, d2, d3) != (d1, d2, d3):
+                t = (i * den // den1, j * den // a2, k * den // a1)
+                if not _split_normal_window(*t, den) \
+                        or _split3_normal_triple(*t, den) != t:
                     continue   # a boundary alias of a class listed elsewhere
-                # every d lies in [0, 1), so the canonical basis is
-                # ((1, d1, d3), (0, 1, d2), (0, 0, 1)) itself
-                lat = split3_lattice_of_triple(d1, d2, d3)
-                out.append({"triple": (d1, d2, d3), "lattice": lat,
-                            "matrix": matrix_for(lat, g),
-                            "order": split3_order_of_triple(d1, d2, d3)})
-    out.sort(key=lambda r: r["triple"])
+                d = (Fraction(i, den1), Fraction(j, a2), Fraction(k, a1))
+                out.append({"triple": d,
+                            "matrix": ((l1, i * (l1 - l2) // den1, corner),
+                                       (0, l2, sgn * j), (0, 0, l3)),
+                            "order": split3_order_of_triple(*d)})
     return out
 
 
@@ -446,10 +459,6 @@ def jordan_invertible(l: FullLattice) -> bool:
     return jordan_delta(l).denominator == 1
 
 
-def _coprime_splits(n: int) -> list[tuple[int, int]]:
-    return [(n1, n // n1) for n1 in xn.divisors(n) if gcd(n1, n // n1) == 1]
-
-
 def jordan_enumerate(n2: int, n3: int, n4: int) -> list[dict]:
     """Unit classes of exact ideals of the order (n2, n3, n4): one for each
     coprime decomposition n3 = n1*d1, with the representative matrix."""
@@ -457,7 +466,7 @@ def jordan_enumerate(n2: int, n3: int, n4: int) -> list[dict]:
         raise DomainError("jordan_enumerate: invalid order parameters")
     alg, a = jordan_algebra(3)
     out = []
-    for n1, d1 in _coprime_splits(n3):
+    for n1, d1 in ((k, n3 // k) for k in xn.divisors(n3) if gcd(k, n3 // k) == 1):
         g22 = Fraction(1, d1 * n2)
         g33 = Fraction(1, n2 * n2 * n3)
         g32 = Fraction(n4, d1 * n2**3 * n3)
@@ -538,30 +547,34 @@ def _mixed_shaped_triple(l: FullLattice) -> tuple[Fraction, Fraction, Fraction]:
     return hs[1][2], hs[0][0], hs[0][1]
 
 
-def _mixed_normal_window(d1, d2, d3) -> bool:
-    if not 0 <= d1 <= HALF or d2 <= 0:
+def _mixed_normal_window(n1, n3, den=1) -> bool:
+    """Whether (n1/den, d2, (n3/den)*d2), d2 > 0, lies in the window
+    (Fractions over den = 1)."""
+    if not 0 <= 2 * n1 <= den:
         return False
-    if d1 in (0, HALF):
-        return 0 <= d3 <= d2 / 2
-    return -d2 / 2 < d3 <= d2 / 2
+    if n1 == 0 or 2 * n1 == den:
+        return 0 <= 2 * n3 <= den
+    return -den < 2 * n3 <= den
+
+
+def _mixed_normal_pair(n1, n3, den=1) -> tuple:
+    """The normal form (n1, n3) of the shaped triple (n1/den, d2, (n3/den)*d2),
+    n3 in [0, den): the sign unit (1, -1, 0) maps a shaped (d1, d2, d3) to
+    ((-d1) mod 1, d2, (-d3) mod d2), either may take d3 or d3 - d2, and window
+    ties, should any arise, are broken lexicographically."""
+    return min((e1, e3 - shift)
+               for e1, e3 in ((n1, n3), ((-n1) % den, (-n3) % den))
+               for shift in (0, den) if _mixed_normal_window(e1, e3 - shift, den))
 
 
 def mixed_normalize(l: FullLattice) -> tuple[Fraction, Fraction, Fraction]:
     """The canonical unit-class representative (d1, d2, d3) of the basis shape
-    (d2*a, e1 + d3*a, d1*e1 + e2); window ties, should any arise, are broken
-    lexicographically."""
+    (d2*a, e1 + d3*a, d1*e1 + e2), from the lattice's one shaped triple."""
     if l.algebra is not MIXED:
         raise DomainError("mixed_normalize: lattice is not in the mixed algebra")
-    cands = set()
-    for signs in ((1, 1, 0), (1, -1, 0)):
-        d1, d2, d3 = _mixed_shaped_triple(l.scale(MIXED.element(signs)))
-        for shifted in (d3, d3 - d2):
-            if _mixed_normal_window(d1, d2, shifted):
-                cands.add((d1, d2, shifted))
-    valid = sorted(cands)
-    if not valid:  # pragma: no cover - the window reductions always land
-        raise AssertionError("no candidate passed the mixed normal-form window")
-    return valid[0]
+    d1, d2, d3 = _mixed_shaped_triple(l)
+    n1, n3 = _mixed_normal_pair(d1, d3 / d2)
+    return n1, d2, n3 * d2
 
 
 def mixed_lattice_of_triple(d1, d2, d3) -> FullLattice:
@@ -642,7 +655,7 @@ def mixed_matrix(d1, d2, d3, alpha: int) -> xn.Mat:
 
 def mixed_enumerate(alpha: int, max_n2: int = 8) -> list[dict]:
     """Unit classes of ideals of Z[alpha*e1 + a] with d2 = alpha/n2,
-    n2 <= max_n2 (the full set is infinite).
+    n2 <= max_n2 (the full set is infinite), with the matrix of each.
 
     Candidates are d1 = i/alpha in [0, 1/2] and d3 = (j/alpha)*d2 with
     j/alpha in (-1/2, 1/2], the normal-form window; raises ResourceError
@@ -660,22 +673,14 @@ def mixed_enumerate(alpha: int, max_n2: int = 8) -> list[dict]:
     for n2 in range(1, max_n2 + 1):
         d2 = Fraction(alpha, n2)
         for i in i_range:
-            d1 = Fraction(i, alpha)
             for j in j_range:
-                # stability under the cyclic order of alpha*e1 + a: alpha/d2,
-                # alpha*d1 and alpha*d3/d2 are n2, i and j; the entry
-                # 1/d2 - alpha*d1*d3/d2 = (n2 - i*j)/alpha must be an integer
-                if (n2 - i * j) % alpha:
+                # mixed_matrix in closed form: alpha/d2, alpha*d1, alpha*d3/d2
+                # are n2, i, j, and L is stable iff the corner is integral
+                corner, r = divmod(n2 - i * j, alpha)
+                if r or _mixed_normal_pair(i, j % alpha, alpha) != (i, j):
                     continue
-                d3 = Fraction(j, alpha) * d2
-                if not _mixed_normal_window(d1, d2, d3):
-                    continue
-                lat = mixed_lattice_of_triple(d1, d2, d3)
-                if mixed_normalize(lat) != (d1, d2, d3):
-                    continue
-                out.append({"triple": (d1, d2, d3),
-                            "lattice": lat,
-                            "matrix": mixed_matrix(d1, d2, d3, alpha)})
+                out.append({"triple": (Fraction(i, alpha), d2, Fraction(j, n2)),
+                            "matrix": ((0, -j, corner), (0, alpha, i), (0, 0, 0))})
     return out
 
 
@@ -858,12 +863,8 @@ CUBIC_DISPLAY = {"L1": "Lambda1", "L2": "Lambda2", "L3": "Lambda3",
                  "I3": "L3", "L4": "Lambda4", "I4": "L4"}
 
 
-def _fmt(x) -> str:
-    return str(x)
-
-
 def _fmt_mat(m) -> str:
-    return "[" + ",".join("[" + ",".join(_fmt(x) for x in row) + "]" for row in m) + "]"
+    return "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in m) + "]"
 
 
 def cubic_tables() -> dict[str, str]:
@@ -960,10 +961,7 @@ def split202m2_tables() -> dict[str, str]:
     """TSV tables for the eigenvalue (-2, 2, 0) fixture: order data, tau data,
     normal forms with their matrices, and the 10x10 product table."""
     classes = split3_enumerate_classes(SPLIT_FIXTURE_LAMS)
-    by_name = {}
-    for rec in classes:
-        name = SPLIT_NAME_BY_TRIPLE[tuple(rec["triple"])]
-        by_name[name] = rec
+    by_name = {SPLIT_NAME_BY_TRIPLE[rec["triple"]]: rec for rec in classes}
     order_lines = ["order\tunits\tbetas\tunits_big\tunits_small\tgroup_size"]
     tau_lines = ["order\ta\tb\tc\td\tmu\tt\ttau"]
     for a1, a2, a3 in SPLIT_FIXTURE_PARAMS.values():
@@ -990,13 +988,8 @@ def split202m2_tables() -> dict[str, str]:
         row = [n1]
         for n2 in SPLIT_FIXTURE_ORDER:
             prod = lattices[n1] * lattices[n2]
-            exact = next((nm for nm in SPLIT_FIXTURE_ORDER
-                          if lattices[nm] == prod), None)
-            if exact is not None:
-                row.append(exact)
-            else:
-                t = split3_normalize(prod)
-                row.append("[" + SPLIT_NAME_BY_TRIPLE[t] + "]")
+            exact = next((nm for nm in SPLIT_FIXTURE_ORDER if lattices[nm] == prod), None)
+            row.append(exact or "[" + SPLIT_NAME_BY_TRIPLE[split3_normalize(prod)] + "]")
         rows.append("\t".join(row))
     t45 = "\n".join(rows)
     return {"order_data": t42, "tau_data": t43, "normal_forms": t44,

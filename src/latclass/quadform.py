@@ -517,11 +517,11 @@ def quad_order_tables(delta: int, n_max: int) -> list[dict]:
             continue
         cond = lam_n.colon(lam1)
         assert cond == lam1.scale(n)       # conductor is n * Lambda_1
-        nb, big_units = quotient_units(finite_quotient(lam1, cond))
+        nb, big_units = quotient_units(big := finite_quotient(lam1, cond))
         ns, _ = quotient_units(finite_quotient(lam_n, cond))
         assert ns == xn.euler_phi(n)      # the small quotient's unit count
         # norm-gcd criterion for the big quotient
-        crit = sum(1 for x in finite_quotient(lam1, cond).reps
+        crit = sum(1 for x in big.reps
                    if gcd(int(alg.norm(x)), n) == 1)
         assert crit == nb
         if delta > 0:

@@ -227,6 +227,8 @@ def test_domain_error_exit_2(capsys):
     assert main(["enumerate", "--poly", "2t^2+1"]) == 2
     # searches above classes.QUOTIENT_CAP raise ResourceError before looping
     assert main(["enumerate", "--poly", "t^3-2000t^2"]) == 2
+    # eigenvalues (0, 40, 120): 40 * 41 * 2401 split3 candidate triples
+    assert main(["enumerate", "--poly", "t^3-160t^2+4800t"]) == 2
     assert main(["enumerate", "--poly", "t^2-2t+1000000000001"]) == 2
     # the jordan listings count their classes first: limit for jordan2, the
     # sum of gcd(m1, m2) for jordan3 (at least limit^2, so 2000 needs no sum)

@@ -191,6 +191,14 @@ def test_split3_enumerate_2_0_minus2():
         assert by_triple[triple]["matrix"] == SPLIT_CLASS_MATRICES[name]
 
 
+def test_split3_enumerate_budget():
+    # eigenvalues (0, 40, 120): 40 * 41 * 2401 = 3,937,640 candidate triples
+    with pytest.raises(ResourceError, match="3937640 candidate triples"):
+        fam.split3_enumerate_classes((0, 40, 120))
+    with pytest.raises(ResourceError):
+        fam.split3_enumerate_classes((40, 0, 120))
+
+
 def test_split3_normalize_matches_fixture_triples():
     # normal forms of the order lattices themselves
     cases = {
@@ -417,7 +425,7 @@ def _mixed_normalize_oracle(l):
     for signs in ((1, 1, 0), (1, -1, 0)):
         d1, d2, d3 = _mixed_shaped_triple_oracle(l.scale(fam.MIXED.element(signs)))
         for shifted in (d3, d3 - d2):
-            if fam._mixed_normal_window(d1, d2, shifted):
+            if fam._mixed_normal_window(d1, shifted / d2):
                 cands.add((d1, d2, shifted))
     return min(cands)
 
@@ -432,6 +440,20 @@ def test_mixed_normalize_matches_oracle():
         l = l.scale(signs)
         assert fam._mixed_shaped_triple(l) == _mixed_shaped_triple_oracle(l)
         assert fam.mixed_normalize(l) == _mixed_normalize_oracle(l)
+
+
+def test_mixed_sign_unit_acts_on_the_shaped_triple():
+    # mixed_normalize reads one shaped triple and applies this map
+    rng = Random(65)
+    from _helpers import random_lattice
+    flip = fam.MIXED.element((1, -1, 0))
+    for _ in range(300):
+        l = random_lattice(rng, fam.MIXED).scale(fam.MIXED.element(
+            (F(rng.randint(1, 7), rng.randint(1, 7)) * rng.choice((1, -1)),
+             F(rng.randint(1, 7), rng.randint(1, 7)) * rng.choice((1, -1)),
+             F(rng.randint(-5, 5), rng.randint(1, 5)))))
+        d1, d2, d3 = fam._mixed_shaped_triple(l)
+        assert fam._mixed_shaped_triple(l.scale(flip)) == ((-d1) % 1, d2, (-d3) % d2)
 
 
 def test_mixed_invertibility_criterion():
@@ -461,7 +483,7 @@ def test_mixed_enumerate_and_w_classification():
     recs = fam.mixed_enumerate(2, max_n2=2)
     assert recs
     for rec in recs:
-        lat = rec["lattice"]
+        lat = fam.mixed_lattice_of_triple(*rec["triple"])
         assert fam.mixed_normalize(lat) == tuple(rec["triple"])
         from latclass.poly import charpoly
         cp = charpoly(rec["matrix"])
@@ -616,7 +638,8 @@ def test_split3_normalize_boundary_alias():
     triples = [tuple(r["triple"]) for r in classes]
     assert len(triples) == len(set(triples))
     for rec in classes:
-        assert fam.split3_normalize(rec["lattice"]) == tuple(rec["triple"])
+        lat = fam.split3_lattice_of_triple(*rec["triple"])
+        assert fam.split3_normalize(lat) == tuple(rec["triple"])
 
 
 # ---------------------------------------------------------------------------

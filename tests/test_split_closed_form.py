@@ -113,32 +113,31 @@ def test_split3_order_of_triple_matches_colon():
             fam.split3_order_params(lat.order()), (d1, d2, d3)
 
 
-def _class_data(recs):
-    return [{k: r[k] for k in ("triple", "matrix", "order")} for r in recs]
+def test_split3_cyclic_order_matches_lattice_route():
+    for lams in permutations(range(-5, 6), 3):
+        g = fam.SPLIT3.element(lams)
+        zg = span(fam.SPLIT3, [fam.SPLIT3.unit, g, fam.SPLIT3.mul(g, g)])
+        assert fam.split3_cyclic_order(lams) == fam.split3_order_params(zg), lams
 
 
 def test_split3_enumerate_matches_lattice_route():
     for lams in combinations(range(-4, 5), 3):
-        assert _class_data(fam.split3_enumerate_classes(lams)) == \
-            oracle_split3_enumerate(lams), lams
+        assert fam.split3_enumerate_classes(lams) == oracle_split3_enumerate(lams), lams
 
 
 def test_split3_enumerate_matches_lattice_route_in_any_eigenvalue_order():
     # the CLI passes the fixture eigenvalues as (-2, 2, 0)
     for lams in [*permutations((-2, 0, 2)), *permutations((-3, 1, 4)),
                  *permutations((-1, 0, 3))]:
-        assert _class_data(fam.split3_enumerate_classes(lams)) == \
-            oracle_split3_enumerate(lams), lams
+        assert fam.split3_enumerate_classes(lams) == oracle_split3_enumerate(lams), lams
 
 
 def test_mixed_enumerate_matches_lattice_route():
     for alpha in range(1, 13):
         expected = oracle_mixed_enumerate(alpha, 5)
         for max_n2 in range(1, 6):
-            recs = [{k: r[k] for k in ("triple", "matrix")}
-                    for r in fam.mixed_enumerate(alpha, max_n2)]
-            assert recs == [r for r in expected if r["triple"][1] * max_n2 >= alpha], \
-                (alpha, max_n2)
+            assert fam.mixed_enumerate(alpha, max_n2) == \
+                [r for r in expected if r["triple"][1] * max_n2 >= alpha], (alpha, max_n2)
 
 
 def test_split2_normalize_matches_lattice_route():
