@@ -155,7 +155,9 @@ def split3_orders_above(p: SplitOrderParams) -> list[SplitOrderParams]:
     for b1 in xn.divisors(p.a1):
         for b2 in xn.divisors(p.a2):
             for b3 in range(-((b1 - 1) // 2), b1 // 2 + 1):
-                if (b3 * (b2 - b3)) % b1 or ((p.a2 // b2) * b3 - p.a3) % b1:
+                if (b3 * (b2 - b3)) % b1:
+                    continue
+                if ((p.a2 // b2) * b3 - p.a3) % b1:
                     continue
                 out.append(SplitOrderParams(b1, b2, b3))
     return sorted(out, key=lambda q: (q.a1, q.a2, q.a3))
@@ -164,7 +166,8 @@ def split3_orders_above(p: SplitOrderParams) -> list[SplitOrderParams]:
 def split_unit_size(order: FullLattice) -> int:
     """Number of sign vectors contained in the order."""
     alg = order.algebra
-    return sum(1 for signs in iproduct((1, -1), repeat=alg.dim)
+    n = alg.dim
+    return sum(1 for signs in iproduct((1, -1), repeat=n)
                if alg.element(signs) in order)
 
 
@@ -274,9 +277,8 @@ def split3_order_of_triple(d1: Fraction, d2: Fraction, d3: Fraction) -> SplitOrd
     (y1 - y2)*d1, y2*d2 and y1*d3 - y2*d1*d2 are integers.  So a1 is the
     least y1 > 0 with y2 = 0, and a2 the least y2 > 0 that admits some y1
     (unique mod a1), which is a3 centred.  With q_i = den(d_i), m = d1*d2*q3:
-    y1 = y2 mod q1 and y1 = y2*m/num(d3) mod q3, so y2 = t*base, base =
-    lcm(q2, den m), and the residues agree mod g = gcd(q1, q3) iff g divides
-    t*(base - w) for w = base*m/num(d3) mod q3.
+    y1 = y2 mod q1 and y1 = y2*m/num(d3) mod q3, so y2 = t*lcm(q2, den m), and
+    the residues agree mod gcd(q1, q3) for the t read off below (CRT).
     """
     q1, q3 = d1.denominator, d3.denominator
     a1, g = lcm(q1, q3), gcd(q1, q3)
@@ -459,6 +461,10 @@ def jordan_invertible(l: FullLattice) -> bool:
     return jordan_delta(l).denominator == 1
 
 
+def _coprime_splits(n: int) -> list[tuple[int, int]]:
+    return [(n1, n // n1) for n1 in xn.divisors(n) if gcd(n1, n // n1) == 1]
+
+
 def jordan_enumerate(n2: int, n3: int, n4: int) -> list[dict]:
     """Unit classes of exact ideals of the order (n2, n3, n4): one for each
     coprime decomposition n3 = n1*d1, with the representative matrix."""
@@ -466,7 +472,7 @@ def jordan_enumerate(n2: int, n3: int, n4: int) -> list[dict]:
         raise DomainError("jordan_enumerate: invalid order parameters")
     alg, a = jordan_algebra(3)
     out = []
-    for n1, d1 in ((k, n3 // k) for k in xn.divisors(n3) if gcd(k, n3 // k) == 1):
+    for n1, d1 in _coprime_splits(n3):
         g22 = Fraction(1, d1 * n2)
         g33 = Fraction(1, n2 * n2 * n3)
         g32 = Fraction(n4, d1 * n2**3 * n3)
@@ -641,16 +647,11 @@ def mixed_containment_triple(p: MixedOrderParams, alpha: int):
 
 def mixed_matrix(d1, d2, d3, alpha: int) -> xn.Mat:
     """Integer representative of multiplication by alpha*e1 + a on the
-    normal-form basis; defined when the order contains the cyclic order."""
-    lat = mixed_lattice_of_triple(d1, d2, d3)
-    basis = ((0, 1, d1), (0, 0, 1), (d2, d3, 0))
-    g = MIXED.element((alpha, 0, 1))
-    m = matrix_for(lat, g, basis=basis)
-    expected = ((0, -alpha * d3 / d2, 1 / d2 - alpha * d1 * d3 / d2),
-                (0, alpha, alpha * d1), (0, 0, 0))
-    if xn.mat_fractions(m) != xn.mat_fractions(expected):  # pragma: no cover
-        raise AssertionError("mixed representative matrix mismatch")
-    return m
+    normal-form basis (d2*a, e1 + d3*a, d1*e1 + e2), in closed form; raises
+    DomainError unless the lattice is stable, i.e. the matrix is integral."""
+    r = Fraction(d3) / d2
+    return xn.mat_int(((0, -alpha * r, 1 / Fraction(d2) - alpha * d1 * r),
+                       (0, alpha, alpha * d1), (0, 0, 0)))
 
 
 def mixed_enumerate(alpha: int, max_n2: int = 8) -> list[dict]:

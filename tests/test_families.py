@@ -475,6 +475,8 @@ def test_mixed_tau_and_matrix():
     assert (mu, t, tau) == (2, 1, 2)
     m = fam.mixed_matrix(F(0), F(1, 2), F(0), 4)
     assert m == ((0, 0, 2), (0, 4, 0), (0, 0, 0))
+    with pytest.raises(DomainError):     # the entry alpha*d1 = 4/3 is not integral
+        fam.mixed_matrix(F(1, 3), F(1, 2), F(0), 4)
     from latclass.poly import charpoly, poly
     assert charpoly(m) == poly([0, 0, -4, 1])   # t^2 (t - 4)
 

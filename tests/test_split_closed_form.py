@@ -135,6 +135,8 @@ def test_split3_enumerate_matches_lattice_route_in_any_eigenvalue_order():
 def test_mixed_enumerate_matches_lattice_route():
     for alpha in range(1, 13):
         expected = oracle_mixed_enumerate(alpha, 5)
+        for r in expected:
+            assert fam.mixed_matrix(*r["triple"], alpha) == r["matrix"], r
         for max_n2 in range(1, 6):
             assert fam.mixed_enumerate(alpha, max_n2) == \
                 [r for r in expected if r["triple"][1] * max_n2 >= alpha], (alpha, max_n2)
