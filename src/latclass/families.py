@@ -542,15 +542,15 @@ def _mixed_shaped_triple(l: FullLattice) -> tuple[Fraction, Fraction, Fraction]:
     """(d1, d2, d3) of a basis (d2*a, e1 + d3*a, d1*e1 + e2), d1 in [0,1),
     d3 in [0, d2).
 
-    With the coordinates in the order (a, e1, e2), scaling by the unit
-    (1/h11, 1/h22, 0) makes the canonical basis (d2*a, e1 + d3*a,
-    d1*e1 + e2 + c*a); the unit 1 - c*a kills that last a-part and leaves
-    the other two vectors alone, so the triple is read off directly.
+    With the coordinates in the order (a, e1, e2), let h be the HNF of the
+    integer key.  The unit (1/h11, 1/h22, 0) scales its columns to
+    (d2*a, e1 + d3*a, d1*e1 + e2 + c*a) with d2 = h00/h22, d3 = h01/h22 and
+    d1 = h12/h11, already reduced; the unit 1 - c*a kills that last a-part
+    and leaves the other two vectors alone.
     """
-    h = _hnf_in_order(l, _A_FIRST)
-    hs = _hnf_in_order(l.scale(l.algebra.element((1 / h[1][1], 1 / h[2][2], 0))),
-                       _A_FIRST)
-    return hs[1][2], hs[0][0], hs[0][1]
+    h = xn.hnf([l.key[0][k] for k in _A_FIRST])
+    return (Fraction(h[1][2], h[1][1]), Fraction(h[0][0], h[2][2]),
+            Fraction(h[0][1], h[2][2]))
 
 
 def _mixed_normal_window(n1, n3, den=1) -> bool:
