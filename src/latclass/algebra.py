@@ -2,6 +2,16 @@
 
 An algebra is given by structure constants C with e_i*e_j = sum_k C[i][j][k] e_k;
 elements are coefficient tuples of Fractions with respect to that basis.
+
+The constants are kept once in integers: D > 0 (`den`) is the least integer that
+makes D*C integral, and rows[i][j] lists the pairs (k, D*C[i][j][k]) with a
+nonzero entry, so e_i*e_j = (1/D) sum s e_k over (k, s) in rows[i][j].
+These rows are the only multiplication kernel: mul takes Fraction
+coefficients through them and divides by D, and int_mul takes integer
+coefficients and returns the integer D*(x*y), which is what the lattice
+products and order checks of the lattice module run on.  `structure` is the
+public Fraction view of the same constants.  unit_key is the unit in the
+same spirit: (u, du) with u integral and unit = u/du.
 """
 
 from __future__ import annotations
@@ -9,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from weakref import WeakValueDictionary
 
 from . import exactnum as xn
@@ -27,7 +38,15 @@ class Algebra:
             tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in structure
         )
         self.dim = len(self.structure)
+        self.den = lcm(*(x.denominator for plane in self.structure
+                         for row in plane for x in row))
+        self.rows = tuple(
+            tuple(tuple((k, x.numerator * (self.den // x.denominator))
+                        for k, x in enumerate(row) if x) for row in plane)
+            for plane in self.structure)
         self.unit = tuple(Fraction(x) for x in unit)
+        du = lcm(*(c.denominator for c in self.unit))
+        self.unit_key = (tuple(c.numerator * (du // c.denominator) for c in self.unit), du)
         self.label = label
         self.family = family
         self.defining_poly = defining_poly
@@ -70,21 +89,24 @@ class Algebra:
         q = xn.rational(q)
         return tuple(q * c for c in self.unit)
 
+    def int_mul(self, x, y) -> list:
+        """D * (x*y) for coefficient vectors x and y, through the integer
+        rows: a list of ints when x and y are integral."""
+        out = [0] * self.dim
+        for xi, plane in zip(x, self.rows):
+            if xi:
+                for yj, row in zip(y, plane):
+                    if yj:
+                        c = xi * yj
+                        for k, s in row:
+                            out[k] += c * s
+        return out
+
     def mul(self, x, y) -> Element:
-        n = self.dim
-        out = [Fraction(0)] * n
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                row = self.structure[i][j]
-                for k in range(n):
-                    if row[k]:
-                        out[k] += c * row[k]
-        return tuple(out)
+        d = self.den
+        # an entry stays an int where no term was added to it
+        return tuple(Fraction(c, d) if type(c) is int else c / d if d > 1 else c
+                     for c in self.int_mul(x, y))
 
     def add(self, x, y) -> Element:
         return tuple(a + b for a, b in zip(x, y))

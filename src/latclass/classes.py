@@ -309,31 +309,46 @@ def principal_unit_witness(transporter: FullLattice, source: FullLattice,
 
     Sound but incomplete: candidates are short integer combinations of the
     transporter's canonical generators with coefficients in [-bound, bound],
-    tried by increasing coefficient sum.  u*source == target forces
-    |N(u)| = |det target / det source|, so only candidates of that norm are
-    compared: with k*mult_matrix(g_j) = M_j integral, that is
-    |det(sum c_j M_j)| == k^n * |det target / det source|, read off the
-    integer norm form of the M_j (norm_form) at c.
+    tried by increasing coefficient sum (see _norm_matches).
+    """
+    gens = transporter.generators()
+    for coeffs, lands in _norm_matches(transporter, source, target, bound):
+        if lands:
+            return tuple(sum(Fraction(c) * g[i] for c, g in zip(coeffs, gens))
+                         for i in range(len(gens)))
+    return None
+
+
+def _norm_matches(transporter: FullLattice, source: FullLattice,
+                  target: FullLattice, bound: int):
+    """Yield (coefficients, whether u*source lies in target) for each
+    candidate u = sum c_j g_j of the witness search, in its order, whose
+    norm is the one u*source == target forces: |N(u)| = |det target / det
+    source|.  With k*mult_matrix(g_j) = M_j integral, that is |det(sum c_j
+    M_j)| == k^n * |det target / det source|, read off the integer norm form
+    of the M_j (norm_form) at c.  At that norm [target : u*source] = 1, so
+    u*source lies in target exactly when it equals target; containment is
+    back-substitution of (sum c_j M_j) * H on target's key, for source's key
+    (H, d), over k*d.  In the transporter target : source every candidate of
+    that norm lands; the containment test guards a wider transporter.
     """
     alg = transporter.algebra
-    gens = transporter.generators()
-    n = len(gens)
-    rows, k = xn.clear_denominators([row for g in gens for row in alg.mult_matrix(g)])
+    n = alg.dim
+    rows, k = xn.clear_denominators([row for g in transporter.generators()
+                                     for row in alg.mult_matrix(g)])
     # canonical bases are triangular: each determinant is its diagonal product
     norm = abs(prod(target.basis[i][i] for i in range(n))
                / prod(source.basis[i][i] for i in range(n))) * k**n
     if norm.denominator != 1:
-        return None
-    form = norm_form([rows[j * n:(j + 1) * n] for j in range(n)])
+        return
+    mults = [rows[j * n:(j + 1) * n] for j in range(n)]
     combos = _witness_combos(n, bound)
-    for coeffs, value in zip(combos, norm_values(form, combos)):
-        if abs(value) != norm.numerator:
-            continue
-        u = tuple(sum(Fraction(c) * g[i] for c, g in zip(coeffs, gens))
-                  for i in range(n))
-        if source.scale(u) == target:
-            return u
-    return None
+    h, d = source.key
+    for coeffs, value in zip(combos, norm_values(norm_form(mults), combos)):
+        if abs(value) == norm.numerator:
+            mu = [[sum(c * m[r][s] for c, m in zip(coeffs, mults)) for s in range(n)]
+                  for r in range(n)]
+            yield coeffs, target.int_coords(xn.mat_mul(mu, h), k * d) is not None
 
 
 def epsilon_equivalent_bounded(l1: FullLattice, l2: FullLattice,

@@ -383,8 +383,18 @@ def hnf_key(cols) -> tuple[Mat, int]:
     columns: d > 0 is the least integer that makes them integral and H the
     column HNF of d times them.  As d is least, H and d share no common
     factor, so two column sets span the same lattice iff their keys agree."""
-    m, d = clear_denominators(tuple(zip(*cols)))
-    return hnf(m), d
+    return int_key(*clear_denominators(tuple(zip(*cols))))
+
+
+def int_key(m, d: int) -> tuple[Mat, int]:
+    """The hnf_key of the lattice spanned by the columns of m/d, for an
+    integer matrix m and d > 0: the HNF of m and d, divided by their common
+    factor (the content of the HNF is that of m)."""
+    h = hnf(m)
+    g = gcd(d, *(x for row in h for x in row))
+    if g > 1:
+        return tuple(tuple(x // g for x in row) for row in h), d // g
+    return h, d
 
 
 def key_basis(h: Mat, d: int) -> Mat:

@@ -27,7 +27,7 @@ from .algebra import Algebra, flat3_algebra, mixed_algebra, split_algebra
 from .conjugacy import MatrixAnalysis, algebra_for_poly, matrix_for
 from .errors import DomainError, ResourceError
 from .exactnum import gcd_q
-from .lattice import FullLattice, span
+from .lattice import FullLattice, key_product_coords, span
 
 SPLIT2 = split_algebra(2)
 SPLIT3 = split_algebra(3)
@@ -776,10 +776,13 @@ def orders_between(small: FullLattice, big: FullLattice) -> list[FullLattice]:
     coordinates y = u*x of big, small is diag(e)*Z^n, and every lattice in
     between has an upper-triangular HNF basis H with h_ii | e_i and the
     entries right of the diagonal in [0, h_ii); it is spanned by the columns
-    of big.basis * u^-1 * H.  The orders come out in the order of their H:
-    diagonals lexicographically, then the entries right of them.  Raises
-    ResourceError before building any lattice when there are more than
-    classes.QUOTIENT_CAP such H.
+    of big.basis * u^-1 * H.  A candidate H holds small when H^-1 diag(e) is
+    integral, and its key is read off the integer (d * big.basis) * u^-1 * H
+    over d, for big's key (H_big, d); the closure of an order is checked on
+    that key, and a lattice is built only for an order found.  The orders
+    come out in the order of their H: diagonals lexicographically, then the
+    entries right of them.  Raises ResourceError before any candidate when
+    there are more than classes.QUOTIENT_CAP such H.
     """
     big._same_algebra(small)
     t = big.int_coords(*small.key)
@@ -792,7 +795,8 @@ def orders_between(small: FullLattice, big: FullLattice) -> list[FullLattice]:
     if count > cl.QUOTIENT_CAP:
         raise ResourceError(f"orders_between: {count} candidate lattices, "
                             f"above the cap of {cl.QUOTIENT_CAP}")
-    to_big = xn.mat_mul(big.basis, xn.unimodular_inverse(u))
+    h_big, d_big = big.key
+    to_big = xn.mat_mul(h_big, xn.unimodular_inverse(u))
     out = []
     for diag in iproduct(*diags):
         for offs in iproduct(*(range(diag[r]) for r in range(n)
@@ -803,10 +807,11 @@ def orders_between(small: FullLattice, big: FullLattice) -> list[FullLattice]:
                 h[r][r] = diag[r]
                 for c in range(r + 1, n):
                     h[r][c] = next(rest)
-            m = FullLattice(big.algebra, xn.columns(xn.mat_mul(to_big, h)))
-            if m.contains_lattice(small) and big.contains_lattice(m) \
-                    and m.is_order() and m not in out:
-                out.append(m)
+            if xn.solve_upper(h, s) is None:
+                continue
+            key = xn.int_key(xn.mat_mul(to_big, h), d_big)
+            if key_product_coords(big.algebra, key) is not None:
+                out.append(FullLattice.from_key(big.algebra, key))
     return out
 
 

@@ -8,6 +8,14 @@ lattices in a table keyed weakly by (H, d), and constructing a lattice
 returns the object already in the table when there is one: there is one
 object per value, and equality and hashing compare keys.
 
+Products and product coordinates run on the key, in integers.  With the
+algebra's integer rows over D (see the algebra module), the products of
+the basis columns of keys (H1, d1) and (H2, d2) are P/(D d1 d2) for the
+integer products P of the columns of H1 and H2; key_product takes one HNF
+of P and divides it and D d1 d2 by their common factor, and
+key_product_coords back-substitutes P (with 1) on H.  No generator list and
+no Fraction arithmetic is involved.
+
 A lattice is immutable, so what it computes about itself is kept and shared
 by every construction of it: the inverse of its basis (duals, intersections,
 the stacked colon; membership and containment back-substitute on H), the
@@ -25,7 +33,7 @@ two equal objects, which is harmless: equality is by value.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from weakref import WeakKeyDictionary
 
 from . import exactnum as xn
@@ -46,15 +54,16 @@ class FullLattice:
         gens = [tuple(map(xn.rational, g)) for g in generators]
         if not gens or any(len(g) != algebra.dim for g in gens):
             raise DomainError("generators must be coefficient vectors of full length")
-        return cls._interned(algebra, xn.hnf_key(gens))
+        return cls.from_key(algebra, xn.hnf_key(gens))
 
     def __init__(self, algebra: Algebra, generators):
         """Construction runs in __new__, which may return a lattice already
         built."""
 
     @classmethod
-    def _interned(cls, algebra: Algebra, key) -> "FullLattice":
-        """The live lattice of the algebra with this key, or a new one."""
+    def from_key(cls, algebra: Algebra, key) -> "FullLattice":
+        """The live lattice of the algebra with the canonical key (H, d), or
+        a new one."""
         lat = algebra._lattices.get(key)
         if lat is None:
             lat = object.__new__(cls)
@@ -116,13 +125,8 @@ class FullLattice:
 
     def int_coords(self, y, k: int = 1) -> xn.Mat | None:
         """The integer z with basis * z = y / k for an integer matrix y, or
-        None when a column of y / k is not in L: with H = d * basis, integer
-        back-substitution on the triangular H z = d y / k."""
-        h, d = self.key
-        g = gcd(d, k)
-        if g < d:
-            y = tuple(tuple(x * (d // g) for x in row) for row in y)
-        return xn.solve_upper(h, y, k // g)
+        None when a column of y / k is not in L (key_coords on the key)."""
+        return key_coords(self.key, y, k)
 
     def contains(self, x) -> bool:
         y, k = xn.clear_denominators([(c,) for c in self.algebra.element(x)])
@@ -170,10 +174,9 @@ class FullLattice:
             self._same_algebra(other)
             key = self._recall("*", other)
             if key is not None:
-                return FullLattice._interned(self.algebra, key)
-            gens = [self.algebra.mul(a, b)
-                    for a in self.generators() for b in other.generators()]
-            out = FullLattice(self.algebra, gens)
+                return FullLattice.from_key(self.algebra, key)
+            out = FullLattice.from_key(self.algebra,
+                                       key_product(self.algebra, self.key, other.key))
             other._remember("*", self, out)
             return self._remember("*", other, out)
         return self.scale(other)
@@ -184,24 +187,29 @@ class FullLattice:
     def power(self, k: int) -> "FullLattice":
         """L^k for k >= 1.
 
-        Multiplies by L until the k-th power, or until L^(j+1) == L^j: every
-        later power is then the same.  When L holds 1 and lies in an order,
-        the powers grow to an order (see dedekind_chain).  Raises
-        ResourceError when k > POWER_CAP (64) and L^1, ..., L^64 have not
-        stabilized.
+        Multiplies by L until the k-th power or until a power repeats.  When
+        L^(j+1) is some earlier L^i, the powers from L^i on run through L^i,
+        ..., L^j again and again, so L^k = L^(i + (k - i) mod (j + 1 - i)).
+        Lattices are interned, so a repeat is found by identity.  When L
+        holds 1 and lies in an order, the powers grow to an order and stay
+        there (see dedekind_chain).  Raises ResourceError when k > POWER_CAP
+        (64) and L^1, ..., L^64 are all distinct.
         """
         if k < 1:
             raise DomainError("power: exponent must be >= 1")
-        out = self
-        for _ in range(min(k, POWER_CAP) - 1):
-            nxt = out * self
-            if nxt == out:
-                return out
-            out = nxt
+        powers = [self]           # powers[i] is L^(i+1)
+        index = {id(self): 0}
+        while len(powers) < min(k, POWER_CAP):
+            nxt = powers[-1] * self
+            i = index.get(id(nxt))
+            if i is not None:
+                return powers[i + (k - 1 - i) % (len(powers) - i)]
+            index[id(nxt)] = len(powers)
+            powers.append(nxt)
         if k > POWER_CAP:
-            raise ResourceError(f"power: L^{POWER_CAP} has not stabilized and "
+            raise ResourceError(f"power: L^1, ..., L^{POWER_CAP} are all distinct and "
                                 f"the exponent {k} is above the cap of {POWER_CAP}")
-        return out
+        return powers[-1]
 
     def __pow__(self, k: int) -> "FullLattice":
         return self.power(k)
@@ -213,7 +221,7 @@ class FullLattice:
         self._same_algebra(other)
         key = self._recall(":", other)
         if key is not None:
-            return FullLattice._interned(self.algebra, key)
+            return FullLattice.from_key(self.algebra, key)
         return self._remember(":", other, self._colon(other))
 
     def _colon(self, other) -> "FullLattice":
@@ -247,7 +255,7 @@ class FullLattice:
         if phi.algebra is not self.algebra:
             raise DomainError("metric belongs to a different algebra")
         if self._dual is not None and self._dual[0] is phi:
-            return FullLattice._interned(self.algebra, self._dual[1])
+            return FullLattice.from_key(self.algebra, self._dual[1])
         m = xn.mat_mul(phi.gram_inv, xn.transpose(self._inverse()))
         d = FullLattice.from_basis_matrix(self.algebra, m)
         self._dual = (phi, d.key)
@@ -261,12 +269,7 @@ class FullLattice:
         (i <= j) of basis elements, in that order, or None when one of them
         is not in L."""
         if self._products is None:
-            alg = self.algebra
-            gens = self.generators()
-            cols = [alg.unit] + [alg.mul(a, b)
-                                 for i, a in enumerate(gens) for b in gens[i:]]
-            y, k = xn.clear_denominators(xn.from_columns(cols))
-            self._products = self.int_coords(y, k) or False
+            self._products = key_product_coords(self.algebra, self.key) or False
         return self._products or None
 
     def is_order(self) -> bool:
@@ -308,6 +311,50 @@ class FullLattice:
         if form is not None and gcd(*form) == 1:
             return True
         return self * o.colon(self) == o
+
+
+def key_coords(key, y, k: int = 1) -> xn.Mat | None:
+    """The integer z with (H/d) * z = y / k for the key (H, d) and an
+    integer matrix y, or None when a column of y / k is not in the lattice
+    H/d: integer back-substitution on the triangular H z = d y / k."""
+    h, d = key
+    g = gcd(d, k)
+    if g < d:
+        y = tuple(tuple(x * (d // g) for x in row) for row in y)
+    return xn.solve_upper(h, y, k // g)
+
+
+def _column_products(alg: Algebra, h1, h2=None) -> list[list[int]]:
+    """D times the products of the columns of the integer matrices h1 and
+    h2: every pair, or the pairs i <= j of h1's columns without h2."""
+    c1 = xn.columns(h1)
+    if h2 is None:
+        return [alg.int_mul(a, b) for i, a in enumerate(c1) for b in c1[i:]]
+    c2 = xn.columns(h2)
+    return [alg.int_mul(a, b) for a in c1 for b in c2]
+
+
+def key_product(alg: Algebra, key1, key2):
+    """The key of the product of the lattices with keys (H1, d1) and (H2, d2):
+    the products of their columns are P/(D d1 d2) for the integer products P
+    of the columns of H1 and H2 (of H1's pairs i <= j for a square)."""
+    (h1, d1), (h2, d2) = key1, key2
+    prods = _column_products(alg, h1, None if key1 == key2 else h2)
+    return xn.int_key(xn.from_columns(prods), alg.den * d1 * d2)
+
+
+def key_product_coords(alg: Algebra, key) -> xn.Mat | None:
+    """The integer coordinates of 1 and of the n(n+1)/2 products b_i b_j
+    (i <= j) of the basis H/d of the key (H, d), or None when one of them is
+    not in the lattice: the products of H's columns are P/(D d^2) for the
+    integer products P, and all are back-substituted on H at once."""
+    h, d = key
+    unit, du = alg.unit_key
+    k = alg.den * d * d
+    m = lcm(k, du)
+    cols = [[x * (m // du) for x in unit]]
+    cols += [[x * (m // k) for x in p] for p in _column_products(alg, h)]
+    return key_coords(key, xn.from_columns(cols), m)
 
 
 def cubic_form(o: FullLattice) -> tuple[int, int, int, int] | None:

@@ -37,6 +37,37 @@ def twin_algebra(alg):
                    validate=False)
 
 
+def fraction_mul(alg, x, y):
+    """x*y by the Fraction structure constants: the generator-product loop
+    that Algebra.mul ran before the integer rows."""
+    n = alg.dim
+    out = [Fraction(0)] * n
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for k, c in enumerate(alg.structure[i][j]):
+                out[k] += Fraction(xi) * Fraction(yj) * c
+    return tuple(out)
+
+
+def fraction_product(l1, l2):
+    """The canonical basis of l1 * l2 from the Fraction products of their
+    generators."""
+    alg = l1.algebra
+    return xn.rational_hnf([fraction_mul(alg, a, b)
+                            for a in l1.generators() for b in l2.generators()])
+
+
+def fraction_product_coords(l):
+    """The coordinates of 1 and of the basis products b_i b_j (i <= j) in l,
+    from Fraction products, or None when one of them is not in l."""
+    alg = l.algebra
+    gens = l.generators()
+    cols = [alg.unit] + [fraction_mul(alg, a, b)
+                         for i, a in enumerate(gens) for b in gens[i:]]
+    z = l.in_basis(xn.from_columns(cols))
+    return xn.mat_int(z) if xn.mat_is_integral(z) else None
+
+
 def random_int_matrix(rng: Random, n, lo=-4, hi=4):
     while True:
         m = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]

@@ -291,6 +291,16 @@ def test_lattice_power_stabilizes(capsys):
     assert data["basis"] == [["8", "0", "0"], ["0", "8", "0"], ["0", "0", "8"]]
 
 
+def test_lattice_power_periodic(capsys):
+    # in Q[t]/(t^2+5), L = <2, t> has L^2 = <1, 2t> and L^3 = L: the powers
+    # alternate, so L^100 = L^2 and L^101 = L, past the cap of 64
+    for k, basis in (("100", [["1", "0"], ["0", "2"]]), ("101", [["2", "0"], ["0", "1"]])):
+        code, data = run_json(capsys, "lattice", "--op", "power", "--k", k,
+                              "--poly", "t^2+5", "--basis", "[[2,0],[0,1]]")
+        assert code == 0
+        assert data["basis"] == basis
+
+
 def test_lattice_dual_cli(capsys):
     code, data = run_json(capsys, "lattice", "--op", "dual",
                           "--poly", "[2,2,2,1]",

@@ -9,7 +9,8 @@ from latclass import classes as cl
 from latclass import exactnum as xn
 from latclass import families as fam
 from latclass import poly as up
-from latclass.conjugacy import algebra_for_poly, analyse
+from latclass.conjugacy import (algebra_for_poly, analyse, random_unimodular,
+                                same_class)
 from latclass.errors import DomainError, ResourceError
 from latclass.lattice import FullLattice, span
 
@@ -702,6 +703,85 @@ def test_orders_between_matches_oracle():
         assert set(found) == set(_orders_between_oracle(small, big))
     assert fam.orders_between(*pairs[0]) == [
         fx.orders[name] for name in ("L1", "L2", "L3", "L4")]
+
+
+def _orders_between_lattice_route(small, big):
+    """orders_between as it ran before the key route: one FullLattice per
+    candidate H, from the Fraction products big.basis * u^-1 * H, kept when
+    it lies between small and big and is an order."""
+    n = big.algebra.dim
+    u, s, _ = xn.snf(big.int_coords(*small.key))
+    to_big = xn.mat_mul(big.basis, xn.unimodular_inverse(u))
+    out = []
+    for diag in iproduct(*(xn.divisors(s[i][i]) for i in range(n))):
+        for offs in iproduct(*(range(diag[r]) for r in range(n)
+                               for _ in range(r + 1, n))):
+            h = [[0] * n for _ in range(n)]
+            rest = iter(offs)
+            for r in range(n):
+                h[r][r] = diag[r]
+                for c in range(r + 1, n):
+                    h[r][c] = next(rest)
+            m = FullLattice(big.algebra, xn.columns(xn.mat_mul(to_big, h)))
+            if m.contains_lattice(small) and big.contains_lattice(m) \
+                    and m.is_order() and m not in out:
+                out.append(m)
+    return out
+
+
+def test_orders_between_matches_the_lattice_route():
+    fx = fam.cubic_fixture()
+    z3 = fam.split3_order_lattice(fam.SplitOrderParams(1, 1, 0))
+    pairs = [(fx.orders["L4"], fx.orders["L1"])]
+    pairs += [(fam.split3_order_lattice(fam.SplitOrderParams(*params)), z3)
+              for params in fam.SPLIT_FIXTURE_PARAMS.values()]
+    counts = []
+    for small, big in pairs:
+        found = fam.orders_between(small, big)
+        assert found == _orders_between_lattice_route(small, big)
+        counts.append(len(found))
+    assert counts == [4, 1, 2, 2, 2, 5, 3, 7, 8]
+
+
+def test_witness_containment_matches_scaling(monkeypatch):
+    # every search of both tables and of seeded same3 pairs: each candidate
+    # of the right norm is accepted exactly when source.scale(u) == target.
+    # In the transporter target : source every such candidate is a witness,
+    # so each search runs again in the wider T + O(target), where some are not
+    searches = []
+    search = cl.principal_unit_witness
+
+    def record(transporter, source, target, bound=3):
+        searches.append((transporter, source, target, bound))
+        return search(transporter, source, target, bound)
+
+    monkeypatch.setattr(cl, "principal_unit_witness", record)
+    fam.cubic_tables()
+    fam.split202m2_tables()
+    tables = len(searches)
+    rng = Random(1602)
+    pairs = 0
+    while pairs < 10:
+        m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        a = analyse(m)
+        if not a.regular or a.invariant is not None:
+            continue
+        u = random_unimodular(3, rng)
+        same_class(m, xn.mat_mul(xn.mat_mul(u, m), xn.unimodular_inverse(u)))
+        same_class(m, xn.transpose(m))
+        pairs += 1
+    accepted = rejected = 0
+    for t, source, target, bound in searches:
+        for transporter in (t, t + target.order()):
+            gens = transporter.generators()
+            for coeffs, lands in cl._norm_matches(transporter, source, target, bound):
+                u = tuple(sum(Fraction(c) * g[i] for c, g in zip(coeffs, gens))
+                          for i in range(len(gens)))
+                assert lands == (source.scale(u) == target)
+                accepted += lands
+                rejected += not lands
+    assert tables > 0 and len(searches) > tables
+    assert accepted > 0 and rejected > 0
 
 
 def test_orders_between_budget():

@@ -6,11 +6,13 @@ from random import Random
 
 import pytest
 
-from _helpers import POLY_POOL, algebra_for, random_lattice, twin_algebra
+from _helpers import (POLY_POOL, algebra_for, fraction_mul, fraction_product,
+                      fraction_product_coords, random_lattice, twin_algebra)
 from latclass import conjugacy as cj
 from latclass import exactnum as xn
 from latclass import poly as up
-from latclass.algebra import canonical_metric, cyclic_algebra
+from latclass.algebra import (Algebra, canonical_metric, cyclic_algebra, flat3_algebra,
+                              mixed_algebra, split_algebra)
 from latclass.errors import DomainError
 from latclass.lattice import FullLattice, span
 
@@ -178,3 +180,48 @@ def test_cyclic_algebra_matches_the_polynomial_divisions():
         alg, _ = cyclic_algebra(f)
         assert alg.structure == old_structure(f), f
         assert canonical_metric(alg).gram == old_gram(f), f
+
+
+# -- the integer multiplication kernel against Fraction products ---------------
+
+def _kernel_algebras():
+    """Fresh algebras of dims 2-5: cyclic, split, mixed, Jordan and flat3, and
+    two whose structure constants are not integral (D > 1): Q[t]/(t^2 + 5)
+    in the basis (1, t/2), and Q[t]/(t^3 + t/2 - 1/3)."""
+    algs = [cyclic_algebra(POLY_POOL[n][i])[0] for n in range(2, 6) for i in (1, 2)]
+    algs += [split_algebra(n) for n in range(2, 6)]
+    algs += [mixed_algebra(), flat3_algebra()]
+    algs += [cyclic_algebra([-1, 3, -3, 1])[0], cyclic_algebra([1, -4, 6, -4, 1])[0]]
+    h = Fraction(1, 2)
+    algs.append(Algebra([[(1, 0), (0, 1)], [(0, 1), (-5 * h * h, 0)]], (1, 0)))
+    algs.append(cyclic_algebra([Fraction(-1, 3), h, 0, 1])[0])
+    return algs
+
+
+def test_product_kernel_matches_fraction_products():
+    rng = Random(1601)
+    algs = _kernel_algebras()
+    assert [a.den for a in algs[-2:]] == [4, 6]
+    orders = reduced = 0
+    for alg in algs:
+        for _ in range(4):
+            x, y = (tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                          for _ in range(alg.dim)) for _ in range(2))
+            assert alg.mul(x, y) == fraction_mul(alg, x, y)
+        lats = [random_lattice(rng, alg) for _ in range(4)]
+        lats += [l.order() for l in lats[:2]]
+        for l1, l2 in zip(lats, lats[1:] + lats[:1]):
+            for a, b in ((l1, l2), (l1, l1)):
+                ref = fraction_product(a, b)
+                got = a * b
+                assert got.basis == ref
+                assert got.key == xn.hnf_key(xn.columns(ref))
+                reduced += got.key[1] < alg.den * a.key[1] * b.key[1]
+                lats.append(got)
+        for l in lats:
+            coords = fraction_product_coords(l)
+            assert l.product_coords() == coords
+            assert l.is_order() == (coords is not None)
+            orders += coords is not None
+    # the reduction by the common factor of the HNF and D d1 d2 is exercised
+    assert orders >= 2 * len(algs) and reduced >= 10
