@@ -3,9 +3,10 @@
 An algebra is given by structure constants C with e_i*e_j = sum_k C[i][j][k] e_k;
 elements are coefficient tuples of Fractions with respect to that basis.
 
-The constants are kept once in integers: D > 0 (`den`) is the least integer that
-makes D*C integral, and rows[i][j] lists the pairs (k, D*C[i][j][k]) with a
-nonzero entry, so e_i*e_j = (1/D) sum s e_k over (k, s) in rows[i][j].
+The constants are kept once in integers, worked out on first use: D > 0
+(`den`) is the least integer that makes D*C integral, and rows[i][j] lists
+the pairs (k, D*C[i][j][k]) with a nonzero entry, so e_i*e_j = (1/D) sum
+s e_k over (k, s) in rows[i][j].
 These rows are the only multiplication kernel: mul takes Fraction
 coefficients through them and divides by D, and int_mul takes integer
 coefficients and returns the integer D*(x*y), which is what the lattice
@@ -38,15 +39,7 @@ class Algebra:
             tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in structure
         )
         self.dim = len(self.structure)
-        self.den = lcm(*(x.denominator for plane in self.structure
-                         for row in plane for x in row))
-        self.rows = tuple(
-            tuple(tuple((k, x.numerator * (self.den // x.denominator))
-                        for k, x in enumerate(row) if x) for row in plane)
-            for plane in self.structure)
         self.unit = tuple(Fraction(x) for x in unit)
-        du = lcm(*(c.denominator for c in self.unit))
-        self.unit_key = (tuple(c.numerator * (du // c.denominator) for c in self.unit), du)
         self.label = label
         self.family = family
         self.defining_poly = defining_poly
@@ -55,6 +48,27 @@ class Algebra:
         self._lattices = WeakValueDictionary()   # lattice key -> live FullLattice
         if validate:
             self.validate()
+
+    # -- the integer kernel, worked out on first use -------------------------
+    @cached_property
+    def den(self) -> int:
+        """D, the least integer > 0 that makes D * structure integral."""
+        return lcm(*(x.denominator for plane in self.structure
+                     for row in plane for x in row))
+
+    @cached_property
+    def rows(self) -> tuple:
+        """rows[i][j] lists the pairs (k, D * C[i][j][k]) with a nonzero entry."""
+        d = self.den
+        return tuple(tuple(tuple((k, x.numerator * (d // x.denominator))
+                                 for k, x in enumerate(row) if x) for row in plane)
+                     for plane in self.structure)
+
+    @cached_property
+    def unit_key(self) -> tuple[tuple[int, ...], int]:
+        """(u, du) with u integral and unit = u / du."""
+        du = lcm(*(c.denominator for c in self.unit))
+        return tuple(c.numerator * (du // c.denominator) for c in self.unit), du
 
     # -- construction checks -------------------------------------------------
     def validate(self):
@@ -121,7 +135,7 @@ class Algebra:
     def mult_matrix(self, x) -> xn.Mat:
         """Matrix of multiplication by x with respect to the algebra basis."""
         n = self.dim
-        cols = [self.mul(x, self.basis_element(j)) for j in range(n)]
+        cols = [self.mul(x, [int(i == j) for i in range(n)]) for j in range(n)]
         return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
     def is_unit(self, x) -> bool:
