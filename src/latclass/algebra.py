@@ -148,25 +148,11 @@ class Algebra:
     def norm(self, x) -> Fraction:
         return xn.det(self.mult_matrix(x))
 
-    def elem_power(self, x, k: int) -> Element:
-        out = self.unit
-        for _ in range(k):
-            out = self.mul(out, x)
-        return out
-
     def eval_poly(self, p, x) -> Element:
         out = self.scalar(0)
         for c in reversed(p):
             out = self.add(self.mul(out, x), self.scalar(c))
         return out
-
-    def is_nilpotent(self, x) -> bool:
-        y = x
-        for _ in range(self.dim):
-            if all(c == 0 for c in y):
-                return True
-            y = self.mul(y, x)
-        return all(c == 0 for c in y)
 
     def __repr__(self):
         tag = self.label or self.family
@@ -235,26 +221,6 @@ def flat3_algebra() -> Algebra:
     )
     return Algebra(structure, (1, 0, 0), label="Q[x,y]/(x^2,xy,y^2)", family="flat3",
                    validate=False)
-
-
-def algebra_to_json(alg: Algebra) -> dict:
-    """JSON descriptor: dimension, flattened structure tensor, unit, label."""
-    n = alg.dim
-    flat = [str(alg.structure[i][j][k])
-            for i in range(n) for j in range(n) for k in range(n)]
-    return {"dim": n, "structure": flat,
-            "unit": [str(c) for c in alg.unit], "label": alg.label}
-
-
-def algebra_from_json(data: dict) -> Algebra:
-    n = int(data["dim"])
-    flat = [Fraction(s) for s in data["structure"]]
-    if len(flat) != n**3:
-        raise DomainError("algebra descriptor: structure tensor has wrong size")
-    structure = [[[flat[(i * n + j) * n + k] for k in range(n)]
-                  for j in range(n)] for i in range(n)]
-    return Algebra(structure, [Fraction(s) for s in data["unit"]],
-                   label=data.get("label"))
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +301,11 @@ class Decomposition:
 
     def project(self, x) -> Element:
         return xn.mat_vec(self.projection, x)
+
+    def coords(self, x) -> tuple:
+        """The coordinates of pr_F(x) in the separable basis."""
+        rows = [[v[i] for v in self.separable_basis] for i in range(self.algebra.dim)]
+        return xn.solve(rows, self.project(x))
 
 
 def _semisimple_part(alg: Algebra) -> Element:

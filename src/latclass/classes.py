@@ -14,7 +14,7 @@ from operator import mul
 from . import exactnum as xn
 from .algebra import Decomposition
 from .errors import DomainError, ResourceError
-from .lattice import FullLattice
+from .lattice import FullLattice, faddeev_data, product_table
 
 QUOTIENT_CAP = 10**6
 
@@ -47,33 +47,37 @@ def _ideal_coords(order: FullLattice, ideal: FullLattice) -> tuple[list, xn.Mat]
     of b_i * b_s over i, for the canonical basis b of the order, so that
     multiplication by the element with coordinates z has the matrix
     [[z . e for e in row] for row in t]; c is the ideal's canonical basis,
-    triangular as both canonical bases are.  Raises DomainError unless the
-    order is an order and the ideal an ideal of it."""
+    upper triangular with a positive diagonal as both canonical bases are.
+    Raises DomainError unless the order is an order and the ideal an ideal
+    of it."""
     order._same_algebra(ideal)
-    prods, c = order.product_coords(), order.int_coords(*ideal.key)
-    if prods is None or c is None:
-        raise DomainError("quotient: need an order and a sublattice of it")
-    n = len(c)
-    at = dict(zip([(i, j) for i in range(n) for j in range(i, n)], xn.columns(prods)[1:]))
-    t = [[tuple(at[min(i, s), max(i, s)][r] for i in range(n)) for s in range(n)]
-         for r in range(n)]
-    products = [[[sum(map(mul, g, e)) for e in row] for row in t] for g in xn.columns(c)]
-    if xn.solve_upper(c, [[x for a in products for x in a[r]] for r in range(n)]) is None:
+    _, p = product_table(order)
+    c = order.int_coords(*ideal.key)
+    if c is None:
+        raise DomainError("quotient: need a sublattice of the order")
+    if order * ideal != ideal:
         raise DomainError("quotient: the sublattice is not an ideal of the order")
+    n = len(c)
+    t = [[tuple(p[i][s][r] for i in range(n)) for s in range(n)] for r in range(n)]
     return t, c
 
 
 @dataclass(frozen=True)
 class FiniteQuotient:
-    """The finite quotient order/ideal, worked out once from the pair: the
-    Smith normal form box, coset representatives with their integer
-    coordinates in the order's canonical basis, and the (t, c) of
-    _ideal_coords that validated it.  Raises DomainError unless ideal is an
-    ideal of the order, and ResourceError above cap cosets."""
+    """The finite quotient order/ideal, worked out once from the pair: its
+    size, the points of the box prod [0, c_ii) for the ideal's triangular
+    basis c in the order's coordinates as the integer coordinates of coset
+    representatives, the representatives, and the (t, c) of _ideal_coords
+    that validated it.  Raises DomainError unless ideal is an ideal of the
+    order, and ResourceError above cap cosets.
+
+    The box holds one point of each coset of c Z^n: two points differ by
+    c y only if, from the last coordinate up, each y_i is a multiple of
+    c_ii below it in size, so zero; and there are det c of them."""
     order: FullLattice
     ideal: FullLattice
     cap: InitVar[int] = QUOTIENT_CAP
-    diagonal: tuple[int, ...] = field(init=False)
+    size: int = field(init=False)
     reps: tuple[tuple, ...] = field(init=False)
     coords: tuple[tuple[int, ...], ...] = field(init=False)
     table: list = field(init=False, repr=False)
@@ -81,21 +85,15 @@ class FiniteQuotient:
 
     def __post_init__(self, cap: int):
         t, m = _ideal_coords(self.order, self.ideal)
-        u, s, _ = xn.snf(m)
-        size = prod(diag := tuple(s[i][i] for i in range(len(m))))
-        if size > cap:
+        sides = [m[i][i] for i in range(len(m))]
+        if (size := prod(sides)) > cap:
             raise ResourceError(f"quotient has {size} cosets, above the cap of {cap}")
-        uinv = xn.unimodular_inverse(u)
-        coords = tuple(xn.mat_vec(uinv, k) for k in iproduct(*(range(d) for d in diag)))
+        coords = tuple(iproduct(*(range(s) for s in sides)))
         h, d = self.order.key
         reps = tuple(tuple(Fraction(x, d) for x in xn.mat_vec(h, z)) for z in coords)
-        for name, value in (("diagonal", diag), ("reps", reps), ("coords", coords),
+        for name, value in (("size", size), ("reps", reps), ("coords", coords),
                             ("table", t), ("ideal_basis", m)):
             object.__setattr__(self, name, value)
-
-    @property
-    def size(self) -> int:
-        return prod(self.diagonal)
 
 
 finite_quotient = FiniteQuotient    # finite_quotient(order, ideal, cap=QUOTIENT_CAP)
@@ -142,63 +140,23 @@ class TauData:
     omega2: tuple
 
 
-def _unit_first_basis(order: FullLattice) -> list[tuple]:
-    """A Z-basis of an order starting with 1, then the canonical columns."""
-    v = xn.complete_to_basis(xn.columns(order.product_coords())[0])
-    return xn.columns(xn.mat_mul(order.basis, v))
-
-
 def faddeev_tau(order: FullLattice) -> TauData:
-    """Number of w-classes of exact ideals of a 3-dimensional order, 2^t.
-
-    Expects a basis (1, w1, w2); shifts it so w1*w2 is a scalar, reads the
-    four multiplication integers and returns mu = gcd and tau = 2^t.
-    """
-    alg = order.algebra
-    if alg.dim != 3:
-        raise DomainError("faddeev_tau: order must be 3-dimensional")
-    if not order.is_order():
-        raise DomainError("faddeev_tau: lattice is not an order")
-    one, w1, w2 = _unit_first_basis(order)
-
-    def in_basis(x) -> tuple:
-        return xn.solve([[one[i], w1[i], w2[i]] for i in range(3)], x)
-
-    prod0 = in_basis(alg.mul(w1, w2))
-    k1, k2 = prod0[1], prod0[2]
-    w1 = alg.sub(w1, alg.smul(k2, one))
-    w2 = alg.sub(w2, alg.smul(k1, one))
-    prod = in_basis(alg.mul(w1, w2))
-    if prod[1] != 0 or prod[2] != 0:
-        raise DomainError("faddeev_tau: no shift makes w1*w2 scalar")
-    sq1 = in_basis(alg.mul(w1, w1))
-    sq2 = in_basis(alg.mul(w2, w2))
-    b, a = sq1[1], sq1[2]
-    d, c = sq2[1], sq2[2]
-    vals = [a, b, c, d, prod[0], sq1[0], sq2[0]]
-    if any(x.denominator != 1 for x in vals):  # pragma: no cover
-        raise DomainError("faddeev_tau: basis products are not integral")
-    a, b, c, d = int(a), int(b), int(c), int(d)
-    if sq1[0] != -a * c or sq2[0] != -b * d or prod[0] != a * d:
-        raise DomainError("faddeev_tau: multiplication data is inconsistent "
-                          "(algebra not separable-compatible)")
+    """Number of w-classes of exact ideals of a 3-dimensional order, 2^t,
+    for t the number of primes dividing mu = gcd(a, b, c, d) of its
+    multiplication data (lattice.faddeev_data), with the basis (1, w1, w2)
+    that data is read in, w1 * w2 a scalar."""
+    a, b, c, d, z1, z2 = faddeev_data(order)
     mu = gcd(a, b, c, d)
     if mu == 0:
         raise DomainError("faddeev_tau: all four multiplication integers vanish")
     t = len(xn.prime_divisors(mu))
-    return TauData(a, b, c, d, mu, t, 2**t, tuple(w1), tuple(w2))
+    w1, w2 = (xn.mat_vec(order.basis, z) for z in (z1, z2))
+    return TauData(a, b, c, d, mu, t, 2**t, w1, w2)
 
 
 def project_lattice_matrix(dec: Decomposition, lat: FullLattice) -> xn.Mat:
     """pr_F(L) as a canonical basis matrix in coordinates of the separable basis."""
-    fbasis_rows = [[v[i] for v in dec.separable_basis] for i in range(dec.algebra.dim)]
-    coords = []
-    for g in lat.generators():
-        sol = xn.solve(fbasis_rows, dec.project(g))
-        if sol is None:  # pragma: no cover - projection lands in F by construction
-            raise DomainError("projection left the separable subspace")
-        coords.append(sol)
-    return xn.rational_hnf(coords)
+    return xn.rational_hnf([dec.coords(g) for g in lat.generators()])
 
 
 def projection_check(order: FullLattice, dec: Decomposition,
@@ -210,25 +168,20 @@ def projection_check(order: FullLattice, dec: Decomposition,
     alg = order.algebra
     if dec.algebra is not alg:
         raise DomainError("decomposition belongs to a different algebra")
-    fbasis_rows = [[v[i] for v in dec.separable_basis] for i in range(alg.dim)]
 
     def ambient(coords):
         return tuple(sum(Fraction(c) * dec.separable_basis[j][i]
                          for j, c in enumerate(coords)) for i in range(alg.dim))
 
-    def in_projected(pm, coords) -> bool:
-        return all(x.denominator == 1 for x in xn.solve(pm, coords))
+    def products(p1, p2) -> list:
+        """The F-coordinates of the products of the columns of p1 and p2."""
+        return [dec.coords(alg.mul(ambient(x), ambient(y)))
+                for x in xn.columns(p1) for y in xn.columns(p2)]
 
+    # pr_F(O) is an order iff adding 1 and its basis products leaves it as it is
     po = project_lattice_matrix(dec, order)
-    unit_f = xn.solve(fbasis_rows, dec.project(alg.unit))
-    if not in_projected(po, unit_f):
+    if xn.rational_hnf(xn.columns(po) + [dec.coords(alg.unit)] + products(po, po)) != po:
         return False
-    fcols = xn.columns(po)
-    for x in fcols:
-        for y in fcols:
-            prod = xn.solve(fbasis_rows, alg.mul(ambient(x), ambient(y)))
-            if not in_projected(po, prod):
-                return False
     rng = Random(seed)
     for _ in range(samples):
         m1 = [[rng.randint(-2, 2) for _ in range(alg.dim)] for _ in range(alg.dim)]
@@ -237,13 +190,10 @@ def projection_check(order: FullLattice, dec: Decomposition,
             continue
         l1 = FullLattice(alg, xn.columns(m1))
         l2 = FullLattice(alg, xn.columns(m2))
+        # the projection of the product against the product of the projections
         p12 = project_lattice_matrix(dec, l1 * l2)
-        # product of the projections, computed inside F
-        cols = []
-        for x in xn.columns(project_lattice_matrix(dec, l1)):
-            for y in xn.columns(project_lattice_matrix(dec, l2)):
-                cols.append(xn.solve(fbasis_rows, alg.mul(ambient(x), ambient(y))))
-        if p12 != xn.rational_hnf(cols):
+        if p12 != xn.rational_hnf(products(project_lattice_matrix(dec, l1),
+                                           project_lattice_matrix(dec, l2))):
             return False
     return True
 

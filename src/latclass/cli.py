@@ -40,6 +40,15 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _json_rational(x) -> Fraction:
+    """A JSON integer or a rational string such as "1/10" as a Fraction.  A
+    float, whose binary value would be read silently, or any other JSON value
+    is a usage error, and so is a string Fraction cannot read."""
+    if type(x) is int or isinstance(x, str):
+        return Fraction(x)
+    raise UsageError(f"{json.dumps(x)} is not a JSON integer or a rational string")
+
+
 def _read_matrix(text: str):
     if os.path.exists(text):
         with open(text) as fh:
@@ -56,7 +65,9 @@ def _read_matrix(text: str):
         raise UsageError("matrix entries must be JSON integers")
     m = tuple(tuple(row) for row in data)
     if claimed is not None:
-        f = up.poly([Fraction(str(c)) for c in claimed])
+        if not isinstance(claimed, list):
+            raise UsageError("a claimed charpoly must be a JSON array of coefficients")
+        f = up.poly([_json_rational(c) for c in claimed])
         if up.charpoly(m) != f:
             raise LatClassError("matrix does not have the claimed "
                                 "characteristic polynomial")
@@ -66,7 +77,7 @@ def _read_matrix(text: str):
 def _read_poly(text: str) -> up.Poly:
     text = text.strip()
     if text.startswith("["):
-        return up.poly([Fraction(str(c)) for c in json.loads(text)])
+        return up.poly([_json_rational(c) for c in json.loads(text)])
     return up.from_string(text)
 
 
@@ -79,7 +90,7 @@ def _read_basis(text: str, dim: int):
             for row in data)):
         raise UsageError(f"a basis must be a JSON array of {dim} non-empty "
                          "rows of equal length")
-    return tuple(tuple(Fraction(str(x)) for x in row) for row in data)
+    return tuple(tuple(map(_json_rational, row)) for row in data)
 
 
 def _basis_json(basis) -> list:

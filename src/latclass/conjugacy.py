@@ -9,7 +9,6 @@ multiplication.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from math import prod
@@ -51,13 +50,6 @@ def _flat_powers(m) -> list[list]:
 
 def _independent(vecs) -> bool:
     return xn.det(xn.mat_mul(vecs, xn.transpose(vecs))) != 0
-
-
-def is_regular(m) -> bool:
-    """True iff the minimal polynomial equals the characteristic polynomial,
-    i.e. I, m, ..., m^(n-1) are linearly independent: the Gram determinant of
-    these powers, each flattened to a vector of n^2 entries, is nonzero."""
-    return _independent(_flat_powers(m))
 
 
 def _integral(f: up.Poly) -> up.Poly:
@@ -226,21 +218,6 @@ def lattice_to_matrix(lat: FullLattice, basis=None) -> xn.Mat:
     return matrix_for(lat, lat.algebra.generator, basis)
 
 
-@dataclass(frozen=True)
-class ConjugacyClassTag:
-    """Invariant bundle: characteristic polynomial, canonical order basis and
-    a canonical representative lattice basis."""
-    charpoly: up.Poly
-    order_basis: xn.Mat
-    representative_basis: xn.Mat
-
-
-def class_tag(m) -> ConjugacyClassTag:
-    a = analyse(m)
-    lat = a.lattice
-    return ConjugacyClassTag(_integral(a.charpoly), lat.order().basis, lat.basis)
-
-
 def same_class(m1, m2, bound: int = 3):
     """Decide GL_n(Z)-conjugacy where a procedure exists; either matrix may be
     given as its MatrixAnalysis.
@@ -267,21 +244,3 @@ def class_product(m1, m2) -> xn.Mat:
     if _integral(a1.charpoly) != _integral(a2.charpoly):
         raise DomainError("class_product: characteristic polynomials differ")
     return lattice_to_matrix(a1.lattice * a2.lattice)
-
-
-def random_unimodular(n: int, rng: Random, length: int = 6) -> xn.Mat:
-    """A random product of at most `length` elementary generators of GL_n(Z)."""
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(rng.randint(1, length)):
-        kind = rng.randint(0, 2)
-        if kind == 0:      # add +-1 times one row to another
-            i, j = rng.sample(range(n), 2)
-            s = rng.choice((-1, 1))
-            u[i] = [x + s * y for x, y in zip(u[i], u[j])]
-        elif kind == 1:    # swap two rows
-            i, j = rng.sample(range(n), 2)
-            u[i], u[j] = u[j], u[i]
-        else:              # negate a row
-            i = rng.randrange(n)
-            u[i] = [-x for x in u[i]]
-    return xn.mat(u)

@@ -307,8 +307,7 @@ class FullLattice:
         if self.algebra.dim <= 2:
             return True
         o = self.order()
-        form = cubic_form(o) if self.algebra.dim == 3 else None
-        if form is not None and gcd(*form) == 1:
+        if self.algebra.dim == 3 and gcd(*cubic_form(o)) == 1:
             return True
         return self * o.colon(self) == o
 
@@ -357,16 +356,64 @@ def key_product_coords(alg: Algebra, key) -> xn.Mat | None:
     return key_coords(key, xn.from_columns(cols), m)
 
 
-def cubic_form(o: FullLattice) -> tuple[int, int, int, int] | None:
-    """The binary cubic form (Delone-Faddeev) of a rank-3 order o with
-    canonical basis (1, w, t), or None when its first basis column is not 1.
-    With w^2 = c0 + c1 w + c2 t, w t = e0 + e1 w + e2 t and t^2 = g0 + g1 w +
-    g2 t, the basis (1, w - e2, t - e1), whose product lies in Z, gives the
-    form (a, b, c, d) = (-c2, c1 - 2 e2, 2 e1 - g2, g1)."""
-    if tuple(row[0] for row in o.basis) != o.algebra.unit:
-        return None
-    *_, c, e, g = xn.columns(o.product_coords())
-    return -c[2], c[1] - 2 * e[2], 2 * e[1] - g[2], g[1]
+def product_table(o: FullLattice) -> tuple[tuple[int, ...], list[list[tuple[int, ...]]]]:
+    """(u, p) for an order o with canonical basis b: the integer coordinates
+    u of 1 and p[i][j] of b_i b_j in b, unpacked from product_coords().
+    Raises DomainError unless o is an order."""
+    prods = o.product_coords()
+    if prods is None:
+        raise DomainError("the lattice is not an order")
+    one, *cols = zip(*prods)
+    n = len(one)
+    p = [[None] * n for _ in range(n)]
+    it = iter(cols)
+    for i in range(n):
+        for j in range(i, n):
+            p[i][j] = p[j][i] = next(it)
+    return one, p
+
+
+def faddeev_data(o: FullLattice) -> tuple[int, int, int, int, tuple, tuple]:
+    """The multiplication data (a, b, c, d, w1, w2) of a rank-3 order o
+    (Delone-Faddeev): o has the basis (1, w1, w2), given by integer
+    coordinates in its canonical basis B, with w1 w2 = a d, w1^2 = -a c +
+    b w1 + a w2 and w2^2 = -b d + d w1 + c w2.
+
+    The coordinates of 1 are completed to a unimodular V, the integer product
+    table is carried into the basis B V = (1, v1, v2), and v1, v2 are shifted
+    by the integers that make their product a scalar.  The constants follow
+    from associativity (Gan-Gross-Savin, Duke 2002), so only the w1 and w2
+    coefficients are read.  Raises DomainError unless o is a rank-3 order."""
+    if o.algebra.dim != 3:
+        raise DomainError("the order must be 3-dimensional")
+    one, p = product_table(o)
+    if one == (1, 0, 0):
+        v1, v2 = (0, 1, 0), (0, 0, 1)
+        sq1, pr, sq2 = p[1][1], p[1][2], p[2][2]
+    else:
+        v = xn.complete_to_basis(one)
+        _, v1, v2 = xn.columns(v)
+        rows = xn.unimodular_inverse(v)
+
+        def times(x, y):
+            """The coordinates in B V of the product of x and y, given in B."""
+            z = [sum(xi * yj * p[i][j][r] for i, xi in enumerate(x) if xi
+                     for j, yj in enumerate(y) if yj) for r in range(3)]
+            return xn.mat_vec(rows, z)
+
+        sq1, pr, sq2 = times(v1, v1), times(v1, v2), times(v2, v2)
+    k1, k2 = pr[1], pr[2]
+    w1 = tuple(x - k2 * u for x, u in zip(v1, one))
+    w2 = tuple(x - k1 * u for x, u in zip(v2, one))
+    return sq1[2], sq1[1] - 2 * k2, sq2[2] - 2 * k1, sq2[1], w1, w2
+
+
+def cubic_form(o: FullLattice) -> tuple[int, int, int, int]:
+    """The binary cubic form (Delone-Faddeev) of a rank-3 order o, whose
+    content decides whether o is Gorenstein: (-a, b, -c, d) for the
+    multiplication data (a, b, c, d) of faddeev_data."""
+    a, b, c, d, _, _ = faddeev_data(o)
+    return -a, b, -c, d
 
 
 def _std_dual(l: FullLattice) -> FullLattice:

@@ -169,9 +169,6 @@ class RiverCycle:
     delta: int
     unit_omega: tuple[int, int]
 
-    def riverbends(self) -> tuple[QuadForm, ...]:
-        return tuple(f for f in self.period if abs(f.a + f.b) < abs(f.h))
-
 
 def _river_orbit(start: QuadForm) -> list[QuadForm]:
     """The forms of one river period from start; raises ResourceError once it
@@ -304,15 +301,6 @@ def proper_class_equal(f1: QuadForm, f2: QuadForm) -> bool:
     return river(f1).period == river(f2).period
 
 
-def sl2_conjugate(m1, m2) -> bool:
-    """SL2(Z)-conjugacy of integer matrices with the same irreducible
-    characteristic polynomial."""
-    k1, k2 = sl2_key(m1), sl2_key(m2)
-    if k1[0] != k2[0]:  # pragma: no cover - same charpoly
-        raise DomainError("matrices have different discriminant signs")
-    return k1 == k2
-
-
 def gl2_invariant(m, key=None):
     """Complete GL2(Z)-conjugacy invariant in the irreducible quadratic case;
     key is sl2_key(m) when the caller has it already.
@@ -322,12 +310,6 @@ def gl2_invariant(m, key=None):
     lesser of the two SL2 keys names the GL2 class.
     """
     return min(sl2_key(m) if key is None else key, sl2_key(_conj_flip(m)))
-
-
-def matrices_conjugate(m1, m2) -> bool:
-    """GL2(Z)-conjugacy for the irreducible quadratic case: proper equivalence
-    of the forms, or proper equivalence after the orientation flip."""
-    return gl2_invariant(m1) == gl2_invariant(m2)
 
 
 # ---------------------------------------------------------------------------

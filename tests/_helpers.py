@@ -3,8 +3,12 @@
 from fractions import Fraction
 from random import Random
 
+from math import gcd
+
 from latclass import exactnum as xn
 from latclass.algebra import Algebra, cyclic_algebra
+from latclass.classes import TauData
+from latclass.errors import DomainError
 from latclass.lattice import FullLattice
 
 # a pool of monic integer polynomials covering separable, split and
@@ -66,6 +70,73 @@ def fraction_product_coords(l):
                          for i, a in enumerate(gens) for b in gens[i:]]
     z = l.in_basis(xn.from_columns(cols))
     return xn.mat_int(z) if xn.mat_is_integral(z) else None
+
+
+def fraction_faddeev(order) -> TauData:
+    """The tau data of a rank-3 order in Fraction arithmetic, the route
+    classes.faddeev_tau took before the integer product table: a basis (1,
+    w1, w2) from the canonical basis, shifted so that w1*w2 is a scalar,
+    with every product solved for in that basis."""
+    alg = order.algebra
+    if alg.dim != 3:
+        raise DomainError("faddeev_tau: order must be 3-dimensional")
+    if not order.is_order():
+        raise DomainError("faddeev_tau: lattice is not an order")
+    v = xn.complete_to_basis(xn.columns(order.product_coords())[0])
+    one, w1, w2 = xn.columns(xn.mat_mul(order.basis, v))
+
+    def in_basis(x) -> tuple:
+        return xn.solve([[one[i], w1[i], w2[i]] for i in range(3)], x)
+
+    prod0 = in_basis(alg.mul(w1, w2))
+    k1, k2 = prod0[1], prod0[2]
+    w1 = alg.sub(w1, alg.smul(k2, one))
+    w2 = alg.sub(w2, alg.smul(k1, one))
+    prod = in_basis(alg.mul(w1, w2))
+    if prod[1] != 0 or prod[2] != 0:
+        raise DomainError("faddeev_tau: no shift makes w1*w2 scalar")
+    sq1 = in_basis(alg.mul(w1, w1))
+    sq2 = in_basis(alg.mul(w2, w2))
+    b, a = sq1[1], sq1[2]
+    d, c = sq2[1], sq2[2]
+    vals = [a, b, c, d, prod[0], sq1[0], sq2[0]]
+    if any(x.denominator != 1 for x in vals):
+        raise DomainError("faddeev_tau: basis products are not integral")
+    a, b, c, d = int(a), int(b), int(c), int(d)
+    if sq1[0] != -a * c or sq2[0] != -b * d or prod[0] != a * d:
+        raise DomainError("faddeev_tau: multiplication data is inconsistent "
+                          "(algebra not separable-compatible)")
+    mu = gcd(a, b, c, d)
+    if mu == 0:
+        raise DomainError("faddeev_tau: all four multiplication integers vanish")
+    t = len(xn.prime_divisors(mu))
+    return TauData(a, b, c, d, mu, t, 2**t, tuple(w1), tuple(w2))
+
+
+def random_unimodular(n: int, rng: Random, length: int = 6) -> xn.Mat:
+    """A random product of at most `length` elementary generators of GL_n(Z)."""
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(1, length)):
+        kind = rng.randint(0, 2)
+        if kind == 0:      # add +-1 times one row to another
+            i, j = rng.sample(range(n), 2)
+            s = rng.choice((-1, 1))
+            u[i] = [x + s * y for x, y in zip(u[i], u[j])]
+        elif kind == 1:    # swap two rows
+            i, j = rng.sample(range(n), 2)
+            u[i], u[j] = u[j], u[i]
+        else:              # negate a row
+            i = rng.randrange(n)
+            u[i] = [-x for x in u[i]]
+    return xn.mat(u)
+
+
+def elem_power(alg, x, k: int):
+    """x^k in the algebra alg, for k >= 0."""
+    out = alg.unit
+    for _ in range(k):
+        out = alg.mul(out, x)
+    return out
 
 
 def random_int_matrix(rng: Random, n, lo=-4, hi=4):

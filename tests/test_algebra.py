@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+from _helpers import elem_power
 from latclass import exactnum as xn
 from latclass import poly as up
 from latclass.algebra import (MultMetric, canonical_metric, cyclic_algebra,
@@ -17,7 +18,7 @@ def test_cyclic_algebra_relations():
     assert a5.mul(g, g) == a5.element([-5, 0])
     f = up.mul(up.mul(up.poly([-2, 1]), up.poly([0, 1])), up.poly([2, 1]))
     asp, g = cyclic_algebra(f)
-    g3 = asp.elem_power(g, 3)
+    g3 = elem_power(asp, g, 3)
     assert g3 == asp.smul(4, g)                          # t^3 = 4t mod f
 
 
@@ -63,7 +64,7 @@ def _check_decomposition(alg, dec):
         for e2, _ in dec.components[i + 1:]:
             assert alg.mul(e1, e2) == alg.scalar(0)
     for r in dec.radical_basis:
-        assert alg.is_nilpotent(r)
+        assert elem_power(alg, r, alg.dim) == alg.scalar(0)
     # pr_F is idempotent and a ring homomorphism on sampled pairs
     rng = Random(21)
     p = dec.projection
@@ -150,15 +151,3 @@ def test_mult_metric_validation_catches_bad_gram():
     for gram in (((1, 0), (1, 1)), ((1, 0), (0,)), ((1, 0, 0),)):
         with pytest.raises(DomainError):     # not symmetric, misshapen
             MultMetric(alg, gram).validate()
-
-
-def test_algebra_json_round_trip():
-    from latclass.algebra import algebra_from_json, algebra_to_json
-    alg, _ = cyclic_algebra(up.poly([16, 8, 4, 1]))
-    data = algebra_to_json(alg)
-    back = algebra_from_json(data)
-    assert back.dim == alg.dim
-    assert back.structure == alg.structure
-    assert back.unit == alg.unit
-    import json
-    assert json.loads(json.dumps(data)) == data

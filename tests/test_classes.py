@@ -197,6 +197,31 @@ def test_faddeev_tau_cyclic_orders_give_tau_1():
             assert cl.faddeev_tau(lam).tau == 1
 
 
+def test_faddeev_tau_matches_the_fraction_route():
+    """The integer Delone-Faddeev routine against fraction_faddeev, on the
+    orders of random lattices and random monogenic orders in the cyclic,
+    split and mixed algebras: the same data and basis, or the same error."""
+    from _helpers import fraction_faddeev, random_cyclic_order
+
+    def outcome(route, order):
+        try:
+            return route(order)
+        except DomainError as exc:
+            return str(exc)
+
+    rng = Random(53)
+    algebras = [algebra_for(c)[0] for c in POLY_POOL[3]] + [fam.SPLIT3, fam.MIXED]
+    orders = shifted = 0
+    for alg in algebras:
+        for _ in range(25):
+            for order in (random_lattice(rng, alg).order(), random_cyclic_order(rng, alg)):
+                got = outcome(cl.faddeev_tau, order)
+                assert got == outcome(fraction_faddeev, order), order
+                orders += 1
+                shifted += order.basis[0][0] != 1 and not isinstance(got, str)
+    assert orders >= 300 and shifted > 50
+
+
 def test_projection_checks():
     # nilpotent rank-3 algebra: every order projects onto Z*1
     alg, a = algebra_for((0, 0, 0, 1))

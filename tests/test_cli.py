@@ -197,8 +197,12 @@ def test_usage_errors_exit_1(capsys):
     assert main(["nonsense"]) == 1
     assert main(["classify", "--matrix", "not json"]) == 1
     for bad in ("[[1,2],[3]]", "[]", "[[]]", "[[1,2,3],[4,5,6]]",
-                "[[1.5,0],[0,1]]", "[[true,0],[0,1]]", '[["1",0],[0,1]]'):
-        assert main(["classify", "--matrix", bad]) == 1
+                "[[1.5,0],[0,1]]", "[[true,0],[0,1]]", '[["1",0],[0,1]]',
+                # a claimed charpoly takes the same entries as --basis
+                '{"matrix": [[0,1],[1,0]], "charpoly": [-1.0,0,1]}',
+                '{"matrix": [[0,1],[1,0]], "charpoly": [-1,0,true]}',
+                '{"matrix": [[0,1],[1,0]], "charpoly": 5}'):
+        assert main(["classify", "--matrix", bad]) == 1, bad
     assert main(["classify", "--matrix", "[[0,1],[1,0]]",
                  "--same-class", "[[1,0],[0]]"]) == 1
     assert main(["enumerate", "--poly", "t/2"]) == 1
@@ -208,11 +212,18 @@ def test_usage_errors_exit_1(capsys):
     assert main(["enumerate", "--poly", "t^3", "--limit", "-3"]) == 1
     assert main(["enumerate", "--poly", "3t/4+1"]) == 1
     for bad in ("[[1,2],[3]]", "[]", "[[]]", "[[],[]]", "[1,2]", '{"basis": 5}',
-                "[[1,0,0],[0,1,0],[0,0,1]]", "[[1,0]]"):
+                "[[1,0,0],[0,1,0],[0,0,1]]", "[[1,0]]",
+                # floats and other non-rational JSON values
+                "[[0.1,0],[0,1]]", "[[1,0],[0,2.0]]", "[[1,null],[0,1]]",
+                "[[1,[0]],[0,1]]", "[[false,0],[0,1]]"):
         assert main(["lattice", "--op", "order", "--poly", "t^2+5",
                      "--basis", bad]) == 1, bad
         assert main(["lattice", "--op", "sum", "--poly", "t^2+5",
                      "--basis", "[[1,0],[0,1]]", "--basis2", bad]) == 1, bad
+    for bad in ("[5,0.0,1]", "[5,0,1.5]", "[5,[0],1]", "[5,null,1]"):
+        assert main(["lattice", "--op", "order", "--poly", bad,
+                     "--basis", "[[1,0],[0,1]]"]) == 1, bad
+        assert main(["enumerate", "--poly", bad]) == 1, bad
 
 
 def test_domain_error_exit_2(capsys):

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from _helpers import twin_algebra
+from _helpers import random_unimodular, twin_algebra
 from latclass import conjugacy as cj
 from latclass import exactnum as xn
 from latclass import poly as up
@@ -13,9 +13,9 @@ from latclass.lattice import FullLattice, span
 
 def test_is_regular():
     comp = ((0, 0, -16), (1, 0, -8), (0, 1, -4))
-    assert cj.is_regular(comp)
-    assert not cj.is_regular(((2, 0), (0, 2)))
-    assert cj.is_regular(((0, 4), (1, 0)))
+    assert cj.analyse(comp).regular
+    assert not cj.analyse(((2, 0), (0, 2))).regular
+    assert cj.analyse(((0, 4), (1, 0))).regular
 
 
 def _seeded_regularity_cases():
@@ -38,7 +38,7 @@ def _seeded_regularity_cases():
                           [0, 0, blk[0][0], blk[0][1]], [0, 0, blk[1][0], blk[1][1]]]),
                   xn.mat([[a, 1, 0, 0], [0, a, 0, 0], [0, 0, a, 0], [0, 0, 0, b]])]
         for s in shapes:
-            u = cj.random_unimodular(len(s), rng)
+            u = random_unimodular(len(s), rng)
             out.append(xn.mat_mul(xn.mat_mul(xn.unimodular_inverse(u), s), u))
     return out
 
@@ -48,7 +48,7 @@ def test_is_regular_matches_char_min_poly():
     cases = _seeded_regularity_cases()
     for m in cases:
         cp, mp = up.char_min_poly(m)
-        assert cj.is_regular(m) == (cp == mp), m
+        assert cj.analyse(m).regular == (cp == mp), m
         regular += cp == mp
     assert 0 < regular < len(cases)
 
@@ -79,7 +79,7 @@ def test_lattice_to_matrix_round_trips():
         n = rng.choice((2, 3))
         m = tuple(tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(n))
         cp = up.charpoly(m)
-        if any(c.denominator != 1 for c in cp) or not cj.is_regular(m):
+        if any(c.denominator != 1 for c in cp) or not cj.analyse(m).regular:
             continue
         seen += 1
         lat = cj.matrix_to_lattice(m)
@@ -99,7 +99,7 @@ def test_same_class_conjugates_and_distinct():
     m1 = ((0, -5), (1, 0))
     m2 = ((1, -3), (2, -1))
     assert cj.same_class(m1, m2) is False
-    u = cj.random_unimodular(2, rng)
+    u = random_unimodular(2, rng)
     conj = xn.mat_mul(xn.mat_mul(xn.unimodular_inverse(u), m1), u)
     assert cj.same_class(m1, conj) is True
     with pytest.raises(DomainError):
@@ -117,7 +117,7 @@ def test_same_class_families():
     ]
     for m in cases:
         n = len(m)
-        u = cj.random_unimodular(n, rng)
+        u = random_unimodular(n, rng)
         conj = xn.mat_mul(xn.mat_mul(xn.unimodular_inverse(u), m), u)
         assert cj.same_class(m, conj) is True
     # distinct split-family classes
@@ -169,15 +169,16 @@ def test_class_product_examples():
 
 
 def test_class_tags():
-    tag = cj.class_tag(((0, -5), (1, 0)))
-    assert tag.charpoly == up.poly([5, 0, 1])
-    assert tag.order_basis == ((1, 0), (0, 1))
+    # the class invariants of the matrix: its charpoly and the order basis
+    a = cj.analyse(((0, -5), (1, 0)))
+    assert a.charpoly == up.poly([5, 0, 1])
+    assert a.lattice.order().basis == ((1, 0), (0, 1))
 
 
 def test_cyclic_generator_randomized_fallback():
     # a matrix whose standard basis vectors are not cyclic generators
     m = ((2, 0, 0), (0, 0, -1), (0, 1, 0))   # block diag(2, rotation)
-    assert cj.is_regular(m)
+    assert cj.analyse(m).regular
     v = cj.cyclic_generator(m)
     k = cj._krylov(xn.mat_fractions(m), v)
     assert xn.det(k) != 0
@@ -192,10 +193,10 @@ def test_lattices_of_conjugates_are_w_equivalent():
     while done < 15:
         m = tuple(tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(3))
         cp = up.charpoly(m)
-        if any(c.denominator != 1 for c in cp) or not cj.is_regular(m):
+        if any(c.denominator != 1 for c in cp) or not cj.analyse(m).regular:
             continue
         done += 1
-        u = cj.random_unimodular(3, rng)
+        u = random_unimodular(3, rng)
         conj = xn.mat_mul(xn.mat_mul(xn.unimodular_inverse(u), m), u)
         assert w_equivalent(cj.matrix_to_lattice(m), cj.matrix_to_lattice(conj))
 
@@ -229,7 +230,7 @@ def test_analysis_is_shared_and_same_class_accepts_it():
     assert a.charpoly == up.charpoly(m) and a.regular
     assert a.lattice is a.lattice
     assert a.lattice == cj.matrix_to_lattice(m)
-    u = cj.random_unimodular(3, Random(5))
+    u = random_unimodular(3, Random(5))
     conj = xn.mat_mul(xn.mat_mul(xn.unimodular_inverse(u), m), u)
     assert cj.same_class(a, conj) is True
     assert cj.same_class(m, cj.analyse(conj)) is True

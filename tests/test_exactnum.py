@@ -4,8 +4,8 @@ from random import Random
 
 import pytest
 
+from _helpers import random_unimodular
 from latclass import exactnum as xn
-from latclass.conjugacy import random_unimodular
 from latclass.errors import DomainError, RankError, ResourceError
 
 

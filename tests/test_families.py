@@ -5,12 +5,12 @@ from random import Random
 
 import pytest
 
+from _helpers import random_unimodular
 from latclass import classes as cl
 from latclass import exactnum as xn
 from latclass import families as fam
 from latclass import poly as up
-from latclass.conjugacy import (algebra_for_poly, analyse, random_unimodular,
-                                same_class)
+from latclass.conjugacy import algebra_for_poly, analyse, same_class
 from latclass.errors import DomainError, ResourceError
 from latclass.lattice import FullLattice, span
 
@@ -318,7 +318,6 @@ def test_jordan_decode():
 
 def test_jordan_normal_form_of_matrix_round_trip():
     rng = Random(62)
-    from latclass.conjugacy import random_unimodular
     from latclass import exactnum as xn
     for rec in fam.jordan_enumerate(2, 6, 1):
         m = rec["matrix"]
@@ -504,7 +503,6 @@ def test_mixed_normal_form_of_matrix():
     assert lams == (0, 4)
     assert triple == (0, F(1, 2), 0)
     rng = Random(65)
-    from latclass.conjugacy import random_unimodular
     from latclass import exactnum as xn
     u = random_unimodular(3, rng)
     conj = xn.mat_mul(xn.mat_mul(xn.unimodular_inverse(u), m), u)

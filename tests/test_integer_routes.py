@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from _helpers import (POLY_POOL, algebra_for, fraction_mul, fraction_product,
+from _helpers import (POLY_POOL, algebra_for, elem_power, fraction_mul, fraction_product,
                       fraction_product_coords, random_lattice, twin_algebra)
 from latclass import conjugacy as cj
 from latclass import exactnum as xn
@@ -70,7 +70,7 @@ def _pool_matrices(rng, per_poly):
     for n, pool in sorted(POLY_POOL.items()):
         for coeffs in pool:
             alg, t = algebra_for(coeffs)
-            zt = span(alg, [alg.elem_power(t, k) for k in range(n)])
+            zt = span(alg, [elem_power(alg, t, k) for k in range(n)])
             for _ in range(per_poly):
                 yield cj.lattice_to_matrix(random_lattice(rng, alg) * zt)
 
@@ -81,7 +81,7 @@ def _random_matrices(rng, count):
     while done < count:
         n = rng.randint(2, 5)
         m = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
-        if cj.is_regular(m):
+        if cj.analyse(m).regular:
             done += 1
             yield m
 
