@@ -259,13 +259,13 @@ def principal_unit_witness(transporter: FullLattice, source: FullLattice,
 
     Sound but incomplete: candidates are short integer combinations of the
     transporter's canonical generators with coefficients in [-bound, bound],
-    tried by increasing coefficient sum (see _norm_matches).
+    tried by increasing coefficient sum (see _norm_matches).  The witness is
+    H c / d for the coefficients c and the transporter's key (H, d).
     """
-    gens = transporter.generators()
+    h, d = transporter.key
     for coeffs, lands in _norm_matches(transporter, source, target, bound):
         if lands:
-            return tuple(sum(Fraction(c) * g[i] for c, g in zip(coeffs, gens))
-                         for i in range(len(gens)))
+            return tuple(Fraction(sum(map(mul, row, coeffs)), d) for row in h)
     return None
 
 
@@ -274,31 +274,37 @@ def _norm_matches(transporter: FullLattice, source: FullLattice,
     """Yield (coefficients, whether u*source lies in target) for each
     candidate u = sum c_j g_j of the witness search, in its order, whose
     norm is the one u*source == target forces: |N(u)| = |det target / det
-    source|.  With k*mult_matrix(g_j) = M_j integral, that is |det(sum c_j
-    M_j)| == k^n * |det target / det source|, read off the integer norm form
-    of the M_j (norm_form) at c.  At that norm [target : u*source] = 1, so
-    u*source lies in target exactly when it equals target; containment is
-    back-substitution of (sum c_j M_j) * H on target's key, for source's key
-    (H, d), over k*d.  In the transporter target : source every candidate of
-    that norm lands; the containment test guards a wider transporter.
+    source|.  For the transporter's key (H, d) and the algebra's D, g_j is
+    H[:, j] / d and k = D*d makes M_j = k*mult_matrix(g_j) integral: column
+    s of M_j is the integer product int_mul(H[:, j], e_s).  The norm match is
+    |det(sum c_j M_j)| == k^n * |det target / det source|, read off the
+    integer norm form of the M_j (norm_form) at c, with both determinants
+    the diagonal products of the triangular keys.  At that norm [target :
+    u*source] = 1, so u*source lies in target exactly when it equals target;
+    containment is back-substitution of (sum c_j M_j) * H_s on target's key,
+    for source's key (H_s, d_s), over k*d_s.  In the transporter target :
+    source every candidate of that norm lands; the containment test guards a
+    wider transporter.
     """
     alg = transporter.algebra
     n = alg.dim
-    rows, k = xn.clear_denominators([row for g in transporter.generators()
-                                     for row in alg.mult_matrix(g)])
-    # canonical bases are triangular: each determinant is its diagonal product
-    norm = abs(prod(target.basis[i][i] for i in range(n))
-               / prod(source.basis[i][i] for i in range(n))) * k**n
-    if norm.denominator != 1:
+    h, d = transporter.key
+    k = alg.den * d
+    (ht, dt), (hs, ds) = target.key, source.key
+    # |det target / det source| * k^n, a fraction of the key diagonals
+    num = prod(ht[i][i] for i in range(n)) * (k * ds) ** n
+    den = prod(hs[i][i] for i in range(n)) * dt ** n
+    if num % den:
         return
-    mults = [rows[j * n:(j + 1) * n] for j in range(n)]
+    norm = num // den
+    units = xn.identity(n)
+    mults = [xn.from_columns([alg.int_mul(g, e) for e in units]) for g in xn.columns(h)]
     combos = _witness_combos(n, bound)
-    h, d = source.key
     for coeffs, value in zip(combos, norm_values(norm_form(mults), combos)):
-        if abs(value) == norm.numerator:
+        if abs(value) == norm:
             mu = [[sum(c * m[r][s] for c, m in zip(coeffs, mults)) for s in range(n)]
                   for r in range(n)]
-            yield coeffs, target.int_coords(xn.mat_mul(mu, h), k * d) is not None
+            yield coeffs, target.int_coords(xn.mat_mul(mu, hs), k * ds) is not None
 
 
 def epsilon_equivalent_bounded(l1: FullLattice, l2: FullLattice,
@@ -312,9 +318,11 @@ def epsilon_equivalent_bounded(l1: FullLattice, l2: FullLattice,
         return True
     if l1.order() != l2.order():
         return False
-    # quick win: proportional bases (the diagonals of both are positive)
-    q = l2.basis[0][0] / l1.basis[0][0]
-    if all(y == q * x for r1, r2 in zip(l1.basis, l2.basis) for x, y in zip(r1, r2)):
+    # quick win: proportional bases, H2 = q H1 with q = H2[0][0] / H1[0][0]
+    # on the keys (the diagonals of both are positive)
+    (h1, _), (h2, _) = l1.key, l2.key
+    a, b = h1[0][0], h2[0][0]
+    if all(a * y == b * x for r1, r2 in zip(h1, h2) for x, y in zip(r1, r2)):
         return True
     # the w-test of w_equivalent, keeping the transporter l2:l1 for the search
     t21 = l2.colon(l1)

@@ -43,9 +43,15 @@ class Parser(argparse.ArgumentParser):
 def _json_rational(x) -> Fraction:
     """A JSON integer or a rational string such as "1/10" as a Fraction.  A
     float, whose binary value would be read silently, or any other JSON value
-    is a usage error, and so is a string Fraction cannot read."""
-    if type(x) is int or isinstance(x, str):
+    is a usage error, and so is a string exactnum.rational_string refuses
+    (one Fraction cannot read, or of more than 4,300 digits)."""
+    if type(x) is int:
         return Fraction(x)
+    if isinstance(x, str):
+        try:
+            return xn.rational_string(x)
+        except ValueError as exc:
+            raise UsageError(f"not a rational string: {exc}") from None
     raise UsageError(f"{json.dumps(x)} is not a JSON integer or a rational string")
 
 

@@ -157,18 +157,41 @@ def denominator_lcm(a) -> int:
     return lcm(*(x.denominator for row in a for x in row))
 
 
+# the most decimal digits Python reads or prints in an int by default
+# (sys.int_info.default_max_str_digits), and so the most rational_string
+# allows in a numerator or denominator
+MAX_DIGITS = 4300
+_TOO_LONG = 10**MAX_DIGITS
+
+
+def rational_string(s: str) -> Fraction:
+    """The Fraction a string such as "1/10", "-7/2" or "1e3" names.  Raises
+    ValueError for a string Fraction cannot read, and for one whose numerator
+    or denominator would have more than MAX_DIGITS digits: Fraction reads
+    "1e3000000" exactly, as an integer of 3,000,001 digits, so an exponent
+    above MAX_DIGITS is refused before it is multiplied out."""
+    _, e, exp = s.lower().partition("e")
+    if e and abs(int(exp)) > MAX_DIGITS:
+        raise ValueError(f"the exponent of {s[:40]!r} is above {MAX_DIGITS}")
+    q = Fraction(s)
+    if max(abs(q.numerator), q.denominator) >= _TOO_LONG:
+        raise ValueError(f"{s[:40]!r} has more than {MAX_DIGITS} digits")
+    return q
+
+
 def rational(x) -> Fraction:
     """x as a Fraction: an int, a Fraction, or a string or other exact
     number that Fraction reads, such as "1/10".  Raises DomainError for a
     float or a complex number, whose binary value would be taken silently,
-    and for anything that is not a finite rational."""
+    and for anything that is not a finite rational, strings of more than
+    MAX_DIGITS digits included (see rational_string)."""
     if type(x) is Fraction:
         return x
     if isinstance(x, (float, complex)):
         raise DomainError(f"inexact number {x!r}: give an int, a Fraction or "
                           "a string such as '1/10'")
     try:
-        return Fraction(x)
+        return rational_string(x) if isinstance(x, str) else Fraction(x)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{x!r} is not a rational number") from None
 

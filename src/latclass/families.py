@@ -164,11 +164,10 @@ def split3_orders_above(p: SplitOrderParams) -> list[SplitOrderParams]:
 
 
 def split_unit_size(order: FullLattice) -> int:
-    """Number of sign vectors contained in the order."""
-    alg = order.algebra
-    n = alg.dim
-    return sum(1 for signs in iproduct((1, -1), repeat=n)
-               if alg.element(signs) in order)
+    """Number of sign vectors contained in the order, each tested as an
+    integer column by back-substitution on the order's key."""
+    return sum(1 for signs in iproduct((1, -1), repeat=order.algebra.dim)
+               if order.int_coords(tuple((s,) for s in signs)) is not None)
 
 
 def split3_conductor(p: SplitOrderParams) -> tuple[tuple[int, int, int], FullLattice]:
@@ -747,6 +746,7 @@ class CubicFixture:
     orders: dict                  # name -> FullLattice for Lambda_1..Lambda_4
     l3: FullLattice
     l4: FullLattice
+    c4: FullLattice               # Lambda4 : Lambda1, the conductor l4 is built from
     unit: tuple                   # fundamental unit beta + 1
     class_number: int
 
@@ -766,7 +766,7 @@ def cubic_fixture() -> CubicFixture:
     unit = alg.element(data["fundamental_unit_beta_coords"])
     return CubicFixture(alg, beta, alpha,
                         {"L1": lam1, "L2": lam2, "L3": lam3, "L4": lam4},
-                        l3, l4, unit, data["class_number"])
+                        l3, l4, c4, unit, data["class_number"])
 
 
 def orders_between(small: FullLattice, big: FullLattice) -> list[FullLattice]:

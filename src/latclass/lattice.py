@@ -24,11 +24,22 @@ the canonical metric, the columns of G^-1 (B^-1)^T, from the basis inverse
 B^-1 and the inverse Gram matrix G^-1 that each MultMetric computes once.
 L1 * L2 and L1.colon(L2) remember the key of their result on the operands,
 in a table keyed weakly by the partner lattice and made on first use, so a
-lattice keeps nothing for partners that have died.  A cached dual or product
-is kept as a key and looked up in the table again, and an order keeps no
-reference to itself, so lattices form no reference cycles and die as soon as
-they are dropped.  Two threads building the same lattice at once may make
-two equal objects, which is harmless: equality is by value.
+lattice keeps nothing for partners that have died.  A cached product or
+colon is kept as a key and looked up in the table again.  Duality under a
+symmetric metric is an involution, and it is cached as one: when d = L^phi
+is worked out, L keeps d's key and d keeps L itself, so while d lives an
+equal lattice built later is the same L and finds d without any work, and a
+d rebuilt from L's key is given L back at no cost.  (The colon (L1^phi *
+L2)^phi keeps its product this way, and the product its dual.)  References
+run only from a dual to its preimage and from a lattice to its order, so
+they form no cycle: a self-dual lattice and an order keep no reference to
+themselves, and as O(L^phi) = O(L) the one cycle left open, an order O
+holding its preimage O^phi whose order is O, is cut where either reference
+is made.  So lattices die as soon as they are dropped.  The canonical basis
+H/d is worked out on first use, as products and candidate orders are often
+only compared or multiplied on the key.  Two threads building the same
+lattice at once may make two equal objects, which is harmless: equality is
+by value.
 """
 
 from __future__ import annotations
@@ -47,7 +58,7 @@ POWER_CAP = 64
 class FullLattice:
     """Rank-n Z-lattice spanning the algebra over Q, one object per value."""
 
-    __slots__ = ("algebra", "key", "basis", "_inv", "_dual", "_order", "_products",
+    __slots__ = ("algebra", "key", "_basis", "_inv", "_dual", "_order", "_products",
                  "_memo", "__weakref__")
 
     def __new__(cls, algebra: Algebra, generators):
@@ -69,9 +80,9 @@ class FullLattice:
             lat = object.__new__(cls)
             lat.algebra = algebra
             lat.key = key
-            lat.basis = xn.key_basis(*key)
+            lat._basis = None
             lat._inv = None
-            lat._dual = None      # (metric, key of the dual under it)
+            lat._dual = None      # (metric, the dual under it or its key)
             lat._order = None     # O(L), True when L is an order, or defer_order's function
             lat._products = None  # product_coords(), or False when L is no order
             lat._memo = None      # partner -> {op: key of the result}, weakly keyed
@@ -81,6 +92,13 @@ class FullLattice:
     @classmethod
     def from_basis_matrix(cls, algebra, matrix) -> "FullLattice":
         return cls(algebra, xn.columns(matrix))
+
+    @property
+    def basis(self) -> xn.Mat:
+        """The canonical basis H/d, worked out on first use."""
+        if self._basis is None:
+            self._basis = xn.key_basis(*self.key)
+        return self._basis
 
     def generators(self) -> list[tuple]:
         return xn.columns(self.basis)
@@ -254,14 +272,27 @@ class FullLattice:
             phi = canonical_metric(self.algebra)
         if phi.algebra is not self.algebra:
             raise DomainError("metric belongs to a different algebra")
-        if self._dual is not None and self._dual[0] is phi:
-            return FullLattice.from_key(self.algebra, self._dual[1])
+        cached = self._dual
+        if cached is not None and cached[0] is phi:
+            d = cached[1]
+            if isinstance(d, FullLattice):
+                return d
+            d = FullLattice.from_key(self.algebra, d)
+            if d._dual is None:     # rebuilt since it died
+                self._link_dual(d, phi)
+            return d
         m = xn.mat_mul(phi.gram_inv, xn.transpose(self._inverse()))
         d = FullLattice.from_basis_matrix(self.algebra, m)
-        self._dual = (phi, d.key)
-        if phi.symmetric:
-            d._dual = (phi, self.key)
+        self._link_dual(d, phi)
         return d
+
+    def _link_dual(self, d: "FullLattice", phi: MultMetric):
+        """Cache d = self^phi: self keeps d's key and, for a symmetric phi,
+        d keeps self, unless that closes a cycle (d is self, or self holds d
+        as its order)."""
+        self._dual = (phi, d.key)
+        if phi.symmetric and d is not self:
+            d._dual = (phi, self.key if self._order is d else self)
 
     # -- orders -----------------------------------------------------------------
     def product_coords(self) -> xn.Mat | None:
@@ -280,7 +311,8 @@ class FullLattice:
         """The order of this lattice, O(L) = L : L, or the lattice that
         defer_order named, computed and validated on first use.  A lattice
         known to be an order is its own order (1 in L makes L : L lie in L)
-        and keeps no reference to itself, which would be a cycle."""
+        and keeps no reference to itself, which would be a cycle; nor does
+        the order keep L when L is its dual (see the module docstring)."""
         o = self._order
         if isinstance(o, FullLattice):
             return o
@@ -290,7 +322,12 @@ class FullLattice:
         o = self._colon(self) if o is None else o()
         if not o.is_order():  # pragma: no cover - would be an internal bug
             raise AssertionError("the order of a lattice failed validation")
-        self._order = True if o is self else o
+        if o is self:
+            self._order = True
+            return o
+        if o._dual is not None and o._dual[1] is self:   # self is o^phi: no cycle
+            o._dual = (o._dual[0], self.key)
+        self._order = o
         return o
 
     def defer_order(self, compute):

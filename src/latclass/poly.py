@@ -165,7 +165,8 @@ def to_string(p: Poly, var: str = "t") -> str:
 def from_string(text: str, var: str = "t") -> Poly:
     """Parse sums of monomials like ``t^3+4t^2+8t+16`` or ``t^2-t-1``.
 
-    Raises ValueError on a term it cannot read in full.
+    Raises ValueError on a term it cannot read in full, and on a coefficient
+    that exactnum.rational_string refuses.
     """
     s = text.replace(" ", "").replace("**", "^").replace("*", "")
     if not s:
@@ -183,10 +184,10 @@ def from_string(text: str, var: str = "t") -> Poly:
             if head in ("", "-"):
                 c = Fraction(-1 if head == "-" else 1)
             else:
-                c = Fraction(head)
+                c = xn.rational_string(head)
         else:
             exp = 0
-            c = Fraction(tok)
+            c = xn.rational_string(tok)
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + c
     out = [Fraction(0)] * (max(coeffs) + 1)
     for e, c in coeffs.items():

@@ -1,9 +1,9 @@
 """Shared helpers for the test suite: random generators and small oracles."""
 
 from fractions import Fraction
+from itertools import product
+from math import gcd, prod
 from random import Random
-
-from math import gcd
 
 from latclass import exactnum as xn
 from latclass.algebra import Algebra, cyclic_algebra
@@ -113,6 +113,40 @@ def fraction_faddeev(order) -> TauData:
     return TauData(a, b, c, d, mu, t, 2**t, tuple(w1), tuple(w2))
 
 
+def fraction_norm_matches(transporter, source, target, bound):
+    """The unit-witness candidates of classes._norm_matches by the Fraction
+    route it took before the integer keys: the matrices k*mult_matrix(g_j)
+    of the transporter's generators g_j over their common denominator k,
+    and the norm read off the Fraction canonical bases.  Yields the same
+    (coefficients, whether u*source lies in target) pairs."""
+    from latclass.classes import _witness_combos, norm_form, norm_values
+
+    alg = transporter.algebra
+    n = alg.dim
+    rows, k = xn.clear_denominators([row for g in transporter.generators()
+                                     for row in alg.mult_matrix(g)])
+    norm = abs(prod(target.basis[i][i] for i in range(n))
+               / prod(source.basis[i][i] for i in range(n))) * k**n
+    if norm.denominator != 1:
+        return
+    mults = [rows[j * n:(j + 1) * n] for j in range(n)]
+    combos = _witness_combos(n, bound)
+    h, d = source.key
+    for coeffs, value in zip(combos, norm_values(norm_form(mults), combos)):
+        if abs(value) == norm.numerator:
+            mu = [[sum(c * m[r][s] for c, m in zip(coeffs, mults)) for s in range(n)]
+                  for r in range(n)]
+            yield coeffs, target.int_coords(xn.mat_mul(mu, h), k * d) is not None
+
+
+def fraction_unit_size(order) -> int:
+    """The sign vectors in a split order, by the Fraction membership test
+    families.split_unit_size ran before it read integer columns."""
+    alg = order.algebra
+    return sum(1 for signs in product((1, -1), repeat=alg.dim)
+               if alg.element(signs) in order)
+
+
 def random_unimodular(n: int, rng: Random, length: int = 6) -> xn.Mat:
     """A random product of at most `length` elementary generators of GL_n(Z)."""
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -171,8 +205,6 @@ def random_cyclic_order(rng: Random, alg):
 
 def brute_lattice_points(basis, box):
     """All lattice points with coordinate vector entries in [-box, box]."""
-    from itertools import product
-
     n = len(basis)
     cols = xn.columns(basis)
     pts = set()

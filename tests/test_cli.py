@@ -211,16 +211,26 @@ def test_usage_errors_exit_1(capsys):
         assert main(["enumerate", "--poly", poly, "--limit", "0"]) == 1, poly
     assert main(["enumerate", "--poly", "t^3", "--limit", "-3"]) == 1
     assert main(["enumerate", "--poly", "3t/4+1"]) == 1
+    assert main(["enumerate", "--poly", "t^2+1e3000000"]) == 1
+    assert main(["enumerate", "--poly", "1e-3000000t^2+1"]) == 1
+    # exponents, signs and slashes of small rationals still read
+    assert main(["lattice", "--op", "dual", "--poly", '["1e0",0,1]',
+                 "--basis", '[["1e3",0],["-7/2","1/10"]]']) == 0
     for bad in ("[[1,2],[3]]", "[]", "[[]]", "[[],[]]", "[1,2]", '{"basis": 5}',
                 "[[1,0,0],[0,1,0],[0,0,1]]", "[[1,0]]",
                 # floats and other non-rational JSON values
                 "[[0.1,0],[0,1]]", "[[1,0],[0,2.0]]", "[[1,null],[0,1]]",
-                "[[1,[0]],[0,1]]", "[[false,0],[0,1]]"):
+                "[[1,[0]],[0,1]]", "[[false,0],[0,1]]",
+                # rational strings of more than 4,300 digits (these ran
+                # without bound: Fraction multiplies the exponent out)
+                '[["1e3000000",0],[0,1]]', '[["1e-3000000",0],[0,1]]',
+                '[["1e4300",0],[0,1]]'):
         assert main(["lattice", "--op", "order", "--poly", "t^2+5",
                      "--basis", bad]) == 1, bad
         assert main(["lattice", "--op", "sum", "--poly", "t^2+5",
                      "--basis", "[[1,0],[0,1]]", "--basis2", bad]) == 1, bad
-    for bad in ("[5,0.0,1]", "[5,0,1.5]", "[5,[0],1]", "[5,null,1]"):
+    for bad in ("[5,0.0,1]", "[5,0,1.5]", "[5,[0],1]", "[5,null,1]",
+                '["1e3000000",0,1]', '[5,"-1e-3000000",1]'):
         assert main(["lattice", "--op", "order", "--poly", bad,
                      "--basis", "[[1,0],[0,1]]"]) == 1, bad
         assert main(["enumerate", "--poly", bad]) == 1, bad

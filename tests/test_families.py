@@ -782,6 +782,62 @@ def test_witness_containment_matches_scaling(monkeypatch):
     assert accepted > 0 and rejected > 0
 
 
+def test_witness_search_matches_the_fraction_route(monkeypatch):
+    # every search of both tables and of 200 seeded same3 pairs (each
+    # matrix against a conjugate and against its transpose): the integer
+    # route of _norm_matches yields the same candidates and verdicts as the
+    # Fraction route, also in the wider transporter T + O(target)
+    from _helpers import fraction_norm_matches
+
+    searches = []
+    search = cl.principal_unit_witness
+
+    def record(transporter, source, target, bound=3):
+        searches.append((transporter, source, target, bound))
+        return search(transporter, source, target, bound)
+
+    monkeypatch.setattr(cl, "principal_unit_witness", record)
+    fam.cubic_tables()
+    fam.split202m2_tables()
+    tables = len(searches)
+    rng = Random(1801)
+    pairs = 0
+    while pairs < 200:
+        m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        a = analyse(m)
+        if not a.regular or a.invariant is not None:
+            continue
+        u = random_unimodular(3, rng)
+        same_class(m, xn.mat_mul(xn.mat_mul(u, m), xn.unimodular_inverse(u)))
+        same_class(m, xn.transpose(m))
+        pairs += 1
+    matches = 0
+    for t, source, target, bound in searches:
+        for transporter in (t, t + target.order()):
+            got = list(cl._norm_matches(transporter, source, target, bound))
+            assert got == list(fraction_norm_matches(transporter, source, target, bound))
+            matches += len(got)
+        witness = search(t, source, target, bound)
+        assert witness is None or source.scale(witness) == target
+    assert tables > 0 and len(searches) > tables + 100 and matches > 0
+
+
+def test_split_unit_size_matches_the_membership_route():
+    # every order of the split fixture and 100 seeded SPLIT3 orders: the
+    # integer columns count the sign vectors the Fraction `in` test counts
+    from _helpers import fraction_unit_size, random_cyclic_order, random_lattice
+
+    orders = [fam.split3_order_lattice(fam.SplitOrderParams(*p))
+              for p in fam.SPLIT_FIXTURE_PARAMS.values()]
+    rng = Random(1802)
+    while len(orders) < len(fam.SPLIT_FIXTURE_PARAMS) + 100:
+        orders.append(rng.choice((random_lattice(rng, fam.SPLIT3).order(),
+                                  random_cyclic_order(rng, fam.SPLIT3))))
+    sizes = [fam.split_unit_size(o) for o in orders]
+    assert sizes == [fraction_unit_size(o) for o in orders]
+    assert set(sizes) == {2, 4, 8}
+
+
 def test_orders_between_budget():
     big = fam.cubic_fixture().orders["L1"]
     with pytest.raises(ResourceError):

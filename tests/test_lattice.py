@@ -1,4 +1,5 @@
 import gc
+import time
 from fractions import Fraction
 from math import gcd
 from random import Random
@@ -564,6 +565,82 @@ def test_dropped_lattices_leave_the_intern_table():
     assert tables["products"].startswith("\tLambda1")
 
 
+def test_dual_chains_die_by_reference_counting():
+    # a dual keeps its preimage alive and a lattice its order, but nothing
+    # refers back: with the cyclic collector off, dropping every name frees
+    # an order built as a dual (O(O^phi) = O), a colon with its product and
+    # both duals, a dual chain and a self-dual lattice
+    import weakref
+
+    alg, _ = beta_algebra()
+    phi = canonical_metric(alg)
+    lam4 = [(1, 0, 0), (0, 2, 0), (0, 0, 4)]
+    dual_gens = span(twin_algebra(alg), lam4).dual().generators()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # the order O = Lambda4 as the dual of O^phi, whose order is O
+        x = FullLattice(alg, dual_gens)
+        l1 = x.dual()
+        assert x.order() is l1 is span(alg, lam4) is l1.order()
+        l2 = span(alg, [(1, 0, 0), (0, 1, 0), (0, 0, 2)])
+        first = l1.dual()
+        assert first is x
+        product = first * l2
+        colon = l1.colon(l2)
+        assert colon is product.dual() and product is colon.dual()
+        assert first.dual() is l1 and l1.dual() is first
+        zg = span(alg, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        assert zg.dual() is zg                      # Z[g] is self-dual
+        chain = [l2]
+        for _ in range(3):
+            chain.append(chain[-1].dual(phi) * l1)
+        refs = [weakref.ref(lat) for lat in (l1, l2, first, product, colon, zg, x, *chain)]
+        del l1, l2, first, product, colon, zg, chain, x
+        assert [r() for r in refs] == [None] * len(refs)
+        assert len(alg._lattices) == 0
+        # the same order, read before the dual as matrix_to_lattice defers it
+        x = FullLattice(alg, dual_gens)
+        x.defer_order(lambda: span(alg, lam4))
+        o = x.order()
+        assert x.dual() is o
+        refs = [weakref.ref(x), weakref.ref(o)]
+        del x, o
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_dual_is_rebuilt_without_work(monkeypatch):
+    # the preimage keeps the key of its dual: a dual that died is looked up
+    # again and learns its preimage back, with no inverse computed
+    alg, _ = beta_algebra()
+    l = span(alg, [(1, 0, 0), (0, 2, 0), (0, 0, 1)])
+    key = l.dual().key
+    assert alg._lattices.get(key) is None
+    inverted = []
+    monkeypatch.setattr(xn, "rmat_inv", lambda a: inverted.append(a))
+    d = l.dual()
+    assert d.key == key and d.dual() is l and l.dual() is d
+    assert inverted == []
+
+
+def test_one_tables_call_inverts_each_basis_once(monkeypatch):
+    # the colons of the division table share products and duals: a lattice
+    # that is built again finds its dual alive instead of inverting again
+    seen = []
+    inverse = xn.rmat_inv
+
+    def record(a):
+        seen.append(tuple(map(tuple, a)))
+        return inverse(a)
+
+    monkeypatch.setattr(xn, "rmat_inv", record)
+    fam.cubic_tables()
+    assert seen and len(seen) == len(set(seen))
+
+
 def test_memo_keeps_nothing_for_dropped_partners():
     alg, _ = algebra_for((16, 8, 4, 1))
     rng = Random(54)
@@ -601,6 +678,19 @@ def test_order_does_not_depend_on_which_construction_came_first():
         seen += 1
 
 
+@pytest.mark.parametrize("bad", ["1e3000000", "1e-3000000", "-5e4300",
+                                 "1" + "0" * 4300 + "/7"])
+def test_rational_strings_of_unbounded_size_are_refused(bad):
+    # Fraction reads "1e3000000" exactly, as 3,000,001 digits; every string
+    # with more than exactnum.MAX_DIGITS (4,300) digits is refused at once
+    alg, _ = algebra_for((5, 0, 1))
+    start = time.process_time()
+    with pytest.raises(DomainError, match="not a rational"):
+        FullLattice(alg, [(bad, 0), (0, 1)])
+    assert time.process_time() - start < 1
+    assert FullLattice(alg, [("1e4299", 0), (0, 1)]).key == (((10**4299, 0), (0, 1)), 1)
+
+
 @pytest.mark.parametrize("bad", [0.1, float("nan"), 1 + 0j, "nan", None])
 def test_inexact_entries_are_refused(bad):
     alg, _ = algebra_for((5, 0, 1))
@@ -613,6 +703,7 @@ def test_inexact_entries_are_refused(bad):
         with pytest.raises(DomainError):
             scaled()
     assert alg.element(("1/10", 1)) == (Fraction(1, 10), Fraction(1))
+    assert alg.element(("1e3", "-7/2")) == (Fraction(1000), Fraction(-7, 2))
     with pytest.raises(DomainError):
         xn.mat_fractions([[bad, 0]])
     t = alg.element((0, 1))
