@@ -746,7 +746,9 @@ class CubicFixture:
     orders: dict                  # name -> FullLattice for Lambda_1..Lambda_4
     l3: FullLattice
     l4: FullLattice
-    c4: FullLattice               # Lambda4 : Lambda1, the conductor l4 is built from
+    # Lambda4 : Lambda1, the conductor l4 is built from; kept, it keeps the
+    # product and duals of its colon alive for the tables that meet it again
+    c4: FullLattice
     unit: tuple                   # fundamental unit beta + 1
     class_number: int
 

@@ -1,5 +1,6 @@
 import gc
 import time
+import weakref
 from fractions import Fraction
 from math import gcd
 from random import Random
@@ -570,8 +571,6 @@ def test_dual_chains_die_by_reference_counting():
     # refers back: with the cyclic collector off, dropping every name frees
     # an order built as a dual (O(O^phi) = O), a colon with its product and
     # both duals, a dual chain and a self-dual lattice
-    import weakref
-
     alg, _ = beta_algebra()
     phi = canonical_metric(alg)
     lam4 = [(1, 0, 0), (0, 2, 0), (0, 0, 4)]
