@@ -67,9 +67,10 @@ class FiniteQuotient:
     """The finite quotient order/ideal, worked out once from the pair: its
     size, the points of the box prod [0, c_ii) for the ideal's triangular
     basis c in the order's coordinates as the integer coordinates of coset
-    representatives, the representatives, and the (t, c) of _ideal_coords
-    that validated it.  Raises DomainError unless ideal is an ideal of the
-    order, and ResourceError above cap cosets.
+    representatives, and the (t, c) of _ideal_coords that validated it.  The
+    representative of a point (rep) is built only when asked for.  Raises
+    DomainError unless ideal is an ideal of the order, and ResourceError
+    above cap cosets.
 
     The box holds one point of each coset of c Z^n: two points differ by
     c y only if, from the last coordinate up, each y_i is a multiple of
@@ -78,7 +79,6 @@ class FiniteQuotient:
     ideal: FullLattice
     cap: InitVar[int] = QUOTIENT_CAP
     size: int = field(init=False)
-    reps: tuple[tuple, ...] = field(init=False)
     coords: tuple[tuple[int, ...], ...] = field(init=False)
     table: list = field(init=False, repr=False)
     ideal_basis: xn.Mat = field(init=False, repr=False)
@@ -89,11 +89,20 @@ class FiniteQuotient:
         if (size := prod(sides)) > cap:
             raise ResourceError(f"quotient has {size} cosets, above the cap of {cap}")
         coords = tuple(iproduct(*(range(s) for s in sides)))
-        h, d = self.order.key
-        reps = tuple(tuple(Fraction(x, d) for x in xn.mat_vec(h, z)) for z in coords)
-        for name, value in (("size", size), ("reps", reps), ("coords", coords),
+        for name, value in (("size", size), ("coords", coords),
                             ("table", t), ("ideal_basis", m)):
             object.__setattr__(self, name, value)
+
+    def rep(self, z) -> tuple:
+        """The coset representative H z / d with integer coordinates z in the
+        order's canonical basis H/d."""
+        h, d = self.order.key
+        return tuple(Fraction(x, d) for x in xn.mat_vec(h, z))
+
+    @property
+    def reps(self) -> tuple[tuple, ...]:
+        """The representatives of all the cosets, in the order of coords."""
+        return tuple(map(self.rep, self.coords))
 
 
 finite_quotient = FiniteQuotient    # finite_quotient(order, ideal, cap=QUOTIENT_CAP)
@@ -109,10 +118,10 @@ def quotient_units(q: FiniteQuotient) -> tuple[int, list[tuple]]:
     """
     one = xn.identity(len(q.ideal_basis))
     units = []
-    for x, z in zip(q.reps, q.coords):
+    for z in q.coords:
         ax = [[sum(map(mul, z, e)) for e in row] for row in q.table]
         if xn.hnf([[*ra, *rc] for ra, rc in zip(ax, q.ideal_basis)]) == one:
-            units.append(x)
+            units.append(q.rep(z))
     return len(units), units
 
 

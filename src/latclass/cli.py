@@ -121,8 +121,11 @@ def _emit(payload: dict, as_json: bool):
 
 def _lattice_from_args(args) -> FullLattice:
     f = _read_poly(args.poly)
+    # the basis is checked against deg f before Q[t]/(f) is built, which
+    # takes time cubic in the degree
+    basis = _read_basis(args.basis, up.degree(f))
     alg, _ = cj.algebra_for_poly(f)
-    return FullLattice(alg, xn.columns(_read_basis(args.basis, alg.dim)))
+    return FullLattice(alg, xn.columns(basis))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ multiplication.
 from __future__ import annotations
 
 import weakref
-from fractions import Fraction
 from functools import cached_property, partial
 from math import prod
 from random import Random
@@ -147,8 +146,8 @@ def matrix_to_lattice(m) -> FullLattice:
     adj = xn.identity(len(k))
     for ci in reversed(c[1:-1]):
         adj = xn.add_scalar(xn.mat_mul(k, adj), ci)
-    lat = FullLattice.from_basis_matrix(
-        alg, [[Fraction(x, -c[0]) for x in row] for row in adj])
+    # K^-1 = adj / -c_0 spans the lattice of adj / |c_0|: a sign is a unit
+    lat = FullLattice.from_key(alg, xn.int_key(adj, abs(c[0])))
     # the order of lat contains Z[t] iff t*lat lies in lat
     if _on_canonical_basis(lat, t) is None:  # pragma: no cover - theorem
         raise AssertionError("constructed lattice is not stable under t")
@@ -165,24 +164,27 @@ def centralizer_order(alg: Algebra, powers) -> FullLattice:
     n^2 rows (I[r][s], m[r][s], ..., m^(n-1)[r][s]) of the power matrix: the
     standard dual of the lattice those rows span.  With H its upper
     triangular HNF basis, that dual is spanned by the rows of H^-1 =
-    adj(H) / det H, and adj(H) solves H y = det(H) I by back-substitution.
+    adj(H) / det H, that is by the columns of adj(H)^T / det H, and adj(H)
+    solves H y = det(H) I by back-substitution.
     """
     n = len(powers)
     h = xn.hnf(tuple(tuple(int(x) for x in vec) for vec in powers))
     d = prod(h[i][i] for i in range(n))
     adj = xn.solve_upper(h, xn.identity(n, d))
-    return FullLattice(alg, [tuple(Fraction(x, d) for x in row) for row in adj])
+    return FullLattice.from_key(alg, xn.int_key(xn.transpose(adj), d))
 
 
 def _on_canonical_basis(lat: FullLattice, x) -> xn.Mat | None:
     """The integer matrix of multiplication by x on the canonical basis of
-    lat, or None when it is not integral.  With H = d*basis the integer
-    canonical basis, the matrix r solves basis r = X basis for X the
-    multiplication matrix of x in the algebra basis; with k the common
-    denominator of X, those are the integer coordinates of k X H over k d."""
+    lat, or None when it is not integral.  With (H, d) the key, x = y/k for
+    an integer y and D the algebra's denominator, x times the basis column
+    H_j/d is int_mul(y, H_j) / (D k d), so the matrix is the integer
+    coordinates of those products."""
+    alg = lat.algebra
     h, d = lat.key
-    kx, k = xn.clear_denominators(lat.algebra.mult_matrix(x))
-    return lat.int_coords(xn.mat_mul(kx, h), k * d)
+    (y,), k = xn.clear_denominators([x])
+    prods = [alg.int_mul(y, col) for col in zip(*h)]
+    return lat.int_coords(xn.from_columns(prods), alg.den * k * d)
 
 
 def matrix_for(lat: FullLattice, x, basis=None) -> xn.Mat:

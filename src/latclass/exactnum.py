@@ -2,11 +2,19 @@
 
 Scalars are Python ints and ``fractions.Fraction``; matrices are tuples of
 row tuples.  Everything here is exact -- no floating point anywhere.
+
+Every Hermite normal form in the package goes through ``hnf``: the lattice
+keys, products, colons, orders and the finite-quotient unit tests all call
+it, and no caller keeps a private copy of the elimination.  So one routine
+has to be fast and correct, and its cost counters (calls, time, matrix
+sizes, entry bits) see every HNF the package computes.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import DomainError, RankError, ResourceError
@@ -145,11 +153,11 @@ def add_scalar(a, c) -> Mat:
 
 
 def columns(a) -> list[tuple]:
-    return [tuple(row[j] for row in a) for j in range(len(a[0]))]
+    return list(zip(*a))
 
 
 def from_columns(cols) -> Mat:
-    return tuple(tuple(col[i] for col in cols) for i in range(len(cols[0])))
+    return tuple(zip(*cols))
 
 
 def denominator_lcm(a) -> int:
@@ -184,12 +192,16 @@ def rational(x) -> Fraction:
     number that Fraction reads, such as "1/10".  Raises DomainError for a
     float or a complex number, whose binary value would be taken silently,
     and for anything that is not a finite rational, strings of more than
-    MAX_DIGITS digits included (see rational_string)."""
+    MAX_DIGITS digits included (see rational_string).  A Decimal whose
+    exponent is above MAX_DIGITS in size is refused before Fraction
+    multiplies it out, as a string is."""
     if type(x) is Fraction:
         return x
     if isinstance(x, (float, complex)):
         raise DomainError(f"inexact number {x!r}: give an int, a Fraction or "
                           "a string such as '1/10'")
+    if isinstance(x, Decimal) and x.is_finite() and abs(x.as_tuple().exponent) > MAX_DIGITS:
+        raise DomainError(f"the exponent of {str(x)[:40]!r} is above {MAX_DIGITS}")
     try:
         return rational_string(x) if isinstance(x, str) else Fraction(x)
     except (TypeError, ValueError, OverflowError):
@@ -224,16 +236,18 @@ def solve_upper(h, b, den: int = 1) -> Mat | None:
     when y is not integral (a division leaves a remainder)."""
     n = len(h)
     cols = []
-    for col in columns(b):
+    for col in zip(*b):
         y = [0] * n
         for i in range(n - 1, -1, -1):
             hi = h[i]
-            rest = sum(hi[k] * y[k] for k in range(i + 1, n))
+            rest = 0
+            for k in range(i + 1, n):
+                rest += hi[k] * y[k]
             y[i], r = divmod(col[i] - den * rest, den * hi[i])
             if r:
                 return None
         cols.append(y)
-    return from_columns(cols)
+    return tuple(zip(*cols))
 
 
 def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
@@ -352,6 +366,9 @@ def column_space_basis(a) -> list[tuple]:
 # ---------------------------------------------------------------------------
 # Hermite and Smith normal forms over Z
 
+_INT = {int}
+
+
 def hnf(a) -> Mat:
     """Column-style Hermite normal form of an integer matrix.
 
@@ -359,46 +376,53 @@ def hnf(a) -> Mat:
     lattice; zero columns are tolerated.  Returns the unique rows x rows
     upper triangular basis with positive diagonal and, in every row, the
     entries right of the diagonal reduced into [0, diagonal).
+
+    Rows are cleared from the bottom by gcd steps between columns, the
+    pivot being the column of least nonzero entry in the row (Cohen, GTM
+    138, 2.4.2).  When row i is reached every column left is zero below it,
+    so each column update touches only rows 0..i, and so does the final
+    reduction of row i against pivot column i.
     """
+    if not set(map(type, chain.from_iterable(a))) <= _INT:
+        for row in a:                       # int subclasses and bools pass
+            for x in row:
+                if not isinstance(x, int):
+                    raise DomainError("hnf: entries must be integers")
     rows = len(a)
-    cols = [list(col) for col in columns(a)]
-    for c in cols:
-        for x in c:
-            if not isinstance(x, int):
-                raise DomainError("hnf: entries must be integers")
-    pivots: list[list[int] | None] = [None] * rows
-    avail = cols
+    avail = [list(col) for col in zip(*a)]
+    h: list = [None] * rows                 # h[i]: the pivot column of row i
     for i in range(rows - 1, -1, -1):
-        live = [c for c in avail if c[i] != 0]
+        live = [c for c in avail if c[i]]
         if not live:
             raise RankError("hnf: columns do not span a full lattice")
-        # gcd elimination within row i
+        top = range(i + 1)
         while len(live) > 1:
-            live.sort(key=lambda c: abs(c[i]))
-            base = live[0]
-            for c in live[1:]:
-                q = c[i] // base[i]
-                if q:
-                    for k in range(rows):
+            base = min(live, key=lambda c: abs(c[i]))
+            b = base[i]
+            left = [base]
+            for c in live:
+                if c is not base:
+                    q = c[i] // b           # nonzero, as |c[i]| >= |b|
+                    for k in top:
                         c[k] -= q * base[k]
-            live = [c for c in live if c[i] != 0]
+                    if c[i]:
+                        left.append(c)
+            live = left
         piv = live[0]
         if piv[i] < 0:
-            for k in range(rows):
+            for k in top:
                 piv[k] = -piv[k]
-        pivots[i] = piv
-        avail = [c for c in avail if c is not piv]
-    for c in avail:
-        if any(x != 0 for x in c):  # pragma: no cover - guarded by rank logic
-            raise RankError("hnf: leftover column not reduced to zero")
-    h = [list(col) for col in pivots]  # h[j] is column j
-    for j in range(rows):
+        h[i] = piv
+        avail.remove(piv)                   # every other column is 0 in row i
+    for j in range(1, rows):
+        hj = h[j]
         for i in range(j - 1, -1, -1):
-            q = h[j][i] // h[i][i]
+            hi = h[i]
+            q = hj[i] // hi[i]
             if q:
-                for k in range(rows):
-                    h[j][k] -= q * h[i][k]
-    return tuple(tuple(h[j][i] for j in range(rows)) for i in range(rows))
+                for k in range(i + 1):
+                    hj[k] -= q * hi[k]
+    return tuple(zip(*h))
 
 
 def hnf_key(cols) -> tuple[Mat, int]:

@@ -165,8 +165,9 @@ def to_string(p: Poly, var: str = "t") -> str:
 def from_string(text: str, var: str = "t") -> Poly:
     """Parse sums of monomials like ``t^3+4t^2+8t+16`` or ``t^2-t-1``.
 
-    Raises ValueError on a term it cannot read in full, and on a coefficient
-    that exactnum.rational_string refuses.
+    Raises ValueError on a term it cannot read in full, on a coefficient
+    that exactnum.rational_string refuses, and on an exponent above
+    exactnum.MAX_DIGITS, before the dense coefficient list is built.
     """
     s = text.replace(" ", "").replace("**", "^").replace("*", "")
     if not s:
@@ -181,6 +182,8 @@ def from_string(text: str, var: str = "t") -> Poly:
             if tail and not tail.startswith("^"):
                 raise ValueError(f"cannot parse the term {tok!r}")
             exp = int(tail[1:]) if tail else 1
+            if exp > xn.MAX_DIGITS:
+                raise ValueError(f"the exponent of {tok[:40]!r} is above {xn.MAX_DIGITS}")
             if head in ("", "-"):
                 c = Fraction(-1 if head == "-" else 1)
             else:

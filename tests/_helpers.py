@@ -8,7 +8,7 @@ from random import Random
 from latclass import exactnum as xn
 from latclass.algebra import Algebra, cyclic_algebra
 from latclass.classes import TauData
-from latclass.errors import DomainError
+from latclass.errors import DomainError, RankError
 from latclass.lattice import FullLattice
 
 # a pool of monic integer polynomials covering separable, split and
@@ -111,6 +111,48 @@ def fraction_faddeev(order) -> TauData:
         raise DomainError("faddeev_tau: all four multiplication integers vanish")
     t = len(xn.prime_divisors(mu))
     return TauData(a, b, c, d, mu, t, 2**t, tuple(w1), tuple(w2))
+
+
+def sort_hnf(a) -> xn.Mat:
+    """The column HNF by the route exactnum.hnf took before it cleared rows
+    on columns cut to the rows still open: every column updated in all its
+    rows, and the live columns sorted by their entry in the row each round.
+    Kept as the oracle of exactnum.hnf."""
+    rows = len(a)
+    cols = [list(col) for col in xn.columns(a)]
+    for c in cols:
+        for x in c:
+            if not isinstance(x, int):
+                raise DomainError("hnf: entries must be integers")
+    pivots = [None] * rows
+    avail = cols
+    for i in range(rows - 1, -1, -1):
+        live = [c for c in avail if c[i] != 0]
+        if not live:
+            raise RankError("hnf: columns do not span a full lattice")
+        while len(live) > 1:
+            live.sort(key=lambda c: abs(c[i]))
+            base = live[0]
+            for c in live[1:]:
+                q = c[i] // base[i]
+                if q:
+                    for k in range(rows):
+                        c[k] -= q * base[k]
+            live = [c for c in live if c[i] != 0]
+        piv = live[0]
+        if piv[i] < 0:
+            for k in range(rows):
+                piv[k] = -piv[k]
+        pivots[i] = piv
+        avail = [c for c in avail if c is not piv]
+    h = [list(col) for col in pivots]  # h[j] is column j
+    for j in range(rows):
+        for i in range(j - 1, -1, -1):
+            q = h[j][i] // h[i][i]
+            if q:
+                for k in range(rows):
+                    h[j][k] -= q * h[i][k]
+    return tuple(tuple(h[j][i] for j in range(rows)) for i in range(rows))
 
 
 def fraction_norm_matches(transporter, source, target, bound):

@@ -212,6 +212,14 @@ def test_usage_errors_exit_1(capsys):
     assert main(["enumerate", "--poly", "t^3", "--limit", "-3"]) == 1
     assert main(["enumerate", "--poly", "3t/4+1"]) == 1
     assert main(["enumerate", "--poly", "t^2+1e3000000"]) == 1
+    # input bounds checked before any work of the size of the input: an
+    # exponent above 4,300, and a basis read against deg f before Q[t]/(f)
+    # is built (t^200+1 with [[1]] took 12.7 s, t^3000000+1 did not end)
+    start = time.process_time()
+    assert main(["enumerate", "--poly", "t^3000000+1"]) == 1
+    for poly in ("t^3000000+1", "t^200+1"):
+        assert main(["lattice", "--op", "order", "--poly", poly, "--basis", "[[1]]"]) == 1
+    assert time.process_time() - start < 1
     assert main(["enumerate", "--poly", "1e-3000000t^2+1"]) == 1
     # exponents, signs and slashes of small rationals still read
     assert main(["lattice", "--op", "dual", "--poly", '["1e0",0,1]',

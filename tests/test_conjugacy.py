@@ -1,4 +1,6 @@
 import gc
+from fractions import Fraction
+from math import prod
 from random import Random
 
 import pytest
@@ -91,6 +93,67 @@ def test_lattice_to_matrix_round_trips():
         assert cj.centralizer_order(lat.algebra, cj.analyse(back).powers) == lat.order()
         twin = FullLattice(twin_algebra(lat.algebra), lat.generators())
         assert twin.colon(twin).basis == lat.order().basis
+
+
+def _fraction_matrix_to_lattice(m) -> tuple[FullLattice, int]:
+    """The lattice of the regular integer matrix m by the Fraction route
+    matrix_to_lattice took before the integer key, K^-1 = adj / -c_0 as a
+    Fraction basis, with c_0."""
+    mi = xn.mat_int(m)
+    k = cj._krylov(mi, cj.cyclic_generator(mi))
+    c = [int(x) for x in up.charpoly(k)]
+    adj = xn.identity(len(k))
+    for ci in reversed(c[1:-1]):
+        adj = xn.add_scalar(xn.mat_mul(k, adj), ci)
+    alg, _ = cj.algebra_for_poly(up.charpoly(m))
+    basis = [[Fraction(x, -c[0]) for x in row] for row in adj]
+    return FullLattice.from_basis_matrix(alg, basis), c[0]
+
+
+def _fraction_centralizer_order(alg, powers) -> FullLattice:
+    """centralizer_order by its former Fraction route: the rows of
+    adj(H) / det H as Fraction generators."""
+    n = len(powers)
+    h = xn.hnf(tuple(tuple(int(x) for x in vec) for vec in powers))
+    d = prod(h[i][i] for i in range(n))
+    adj = xn.solve_upper(h, xn.identity(n, d))
+    return FullLattice(alg, [tuple(Fraction(x, d) for x in row) for row in adj])
+
+
+def _fraction_on_canonical_basis(lat: FullLattice, x):
+    """_on_canonical_basis by its former route: the Fraction multiplication
+    matrix of x, cleared of denominators, times the key's H."""
+    h, d = lat.key
+    kx, k = xn.clear_denominators(lat.algebra.mult_matrix(x))
+    return lat.int_coords(xn.mat_mul(kx, h), k * d)
+
+
+def test_correspondence_matches_fraction_routes():
+    rng = Random(1919)
+    positive = seen = stable = unstable = 0
+    while seen < 320:
+        n = rng.randint(2, 4)
+        m = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+        a = cj.analyse(m)
+        if not a.regular:
+            continue
+        seen += 1
+        want, c0 = _fraction_matrix_to_lattice(m)
+        positive += c0 > 0
+        lat = cj.matrix_to_lattice(a)
+        assert lat.key == want.key, m
+        alg = lat.algebra
+        got = cj.centralizer_order(alg, a.powers)
+        assert got.key == _fraction_centralizer_order(alg, a.powers).key, m
+        for x in (alg.generator,
+                  tuple(rng.randint(-4, 4) for _ in range(n)),
+                  tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))):
+            r = cj._on_canonical_basis(lat, x)
+            assert r == _fraction_on_canonical_basis(lat, x), (m, x)
+            stable += r is not None
+            unstable += r is None
+    assert 100 < positive < seen - 100      # c_0 of both signs
+    assert stable > 600 and unstable > 30
 
 
 def test_same_class_conjugates_and_distinct():

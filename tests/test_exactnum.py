@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from _helpers import random_unimodular
+from _helpers import random_unimodular, sort_hnf
 from latclass import exactnum as xn
 from latclass.errors import DomainError, RankError, ResourceError
 
@@ -337,6 +337,90 @@ def test_hnf_preserves_membership():
 def test_hnf_rank_error():
     with pytest.raises(RankError):
         xn.hnf(((1, 2), (2, 4)))
+
+
+def _random_hnf_input(rng: Random):
+    """An n x k integer matrix, n in 1..5 and k in n..n^2+n, with zero
+    columns, negative entries and entries up to 2^64; a few are rank
+    deficient."""
+    n = rng.randint(1, 5)
+    k = rng.randint(n, n * n + n)
+    size = rng.choice((1, 3, 40, 2**20, 2**64))
+    m = [[rng.randint(-size, size) if rng.random() < 0.8 else 0 for _ in range(k)]
+         for _ in range(n)]
+    for j in rng.sample(range(k), rng.randint(0, k // 3)):
+        for row in m:
+            row[j] = 0
+    if rng.random() < 0.1:                  # a repeated row: rank deficient
+        m[rng.randrange(n)] = list(m[rng.randrange(n)])
+    return tuple(map(tuple, m))
+
+
+def test_hnf_matches_sort_oracle():
+    rng = Random(19)
+    shapes, ranked, deficient, big = set(), 0, 0, 0
+    for _ in range(2400):
+        m = _random_hnf_input(rng)
+        try:
+            want = sort_hnf(m)
+        except RankError:
+            with pytest.raises(RankError):
+                xn.hnf(m)
+            deficient += 1
+            continue
+        got = xn.hnf(m)
+        assert got == want and all(type(x) is int for row in got for x in row), m
+        ranked += 1
+        shapes.add((len(m), len(m[0])))
+        big += max(abs(x) for row in m for x in row) > 2**63
+    assert ranked >= 2000 and deficient >= 50 and big >= 200
+    assert {n for n, _ in shapes} == {1, 2, 3, 4, 5}
+    assert (5, 30) in shapes and (5, 5) in shapes
+
+
+def test_hnf_entry_types():
+    class Int(int):
+        pass
+
+    assert xn.hnf(((True, False), (False, True))) == ((1, 0), (0, 1))
+    assert xn.hnf(((Int(4), Int(2)), (Int(2), Int(2)))) == ((2, 0), (0, 2))
+    for bad in (Fraction(1, 2), Fraction(2), 2.0, float("nan")):
+        with pytest.raises(DomainError):
+            xn.hnf(((1, 0), (0, bad)))
+    # the type check comes before the rank check
+    with pytest.raises(DomainError):
+        xn.hnf(((1, 2), (2, 4.0)))
+    with pytest.raises(RankError):
+        xn.hnf(((0, 0, 0), (1, 2, 3)))
+
+
+def test_solve_upper_matches_fraction_solve():
+    rng = Random(23)
+    answers = nones = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        h = [[0] * n for _ in range(n)]
+        for i in range(n):
+            h[i][i] = rng.choice((1, 1, 2, 3, 5, -2))
+            for j in range(i + 1, n):
+                h[i][j] = rng.randint(-6, 6)
+        h = xn.mat(h)
+        den = rng.choice((1, 1, 2, 6))
+        cols = rng.randint(1, 4)
+        if rng.random() < 0.5:              # b = den * h * y: integral answers
+            y = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(n)]
+            b = tuple(tuple(den * x for x in row) for row in xn.mat_mul(h, y))
+        else:
+            b = tuple(tuple(rng.randint(-9, 9) for _ in range(cols)) for _ in range(n))
+        want = xn.mat_mul(xn.rmat_inv(h), [[Fraction(x, den) for x in row] for row in b])
+        got = xn.solve_upper(h, b, den)
+        if xn.mat_is_integral(want):
+            assert got == xn.mat_int(want)
+            answers += 1
+        else:
+            assert got is None
+            nones += 1
+    assert answers >= 150 and nones >= 100
 
 
 # ---------------------------------------------------------------------------

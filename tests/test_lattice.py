@@ -1,6 +1,7 @@
 import gc
 import time
 import weakref
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from random import Random
@@ -688,6 +689,23 @@ def test_rational_strings_of_unbounded_size_are_refused(bad):
         FullLattice(alg, [(bad, 0), (0, 1)])
     assert time.process_time() - start < 1
     assert FullLattice(alg, [("1e4299", 0), (0, 1)]).key == (((10**4299, 0), (0, 1)), 1)
+
+
+def test_decimals_of_unbounded_size_are_refused():
+    # Fraction reads Decimal("1e3000000") exactly, as 3,000,001 digits; an
+    # exponent above exactnum.MAX_DIGITS (4,300) in size is refused at once
+    alg, _ = algebra_for((5, 0, 1))
+    start = time.process_time()
+    for bad in ("1e3000000", "1e-3000000", "-5e4301", "1.5e-4301"):
+        with pytest.raises(DomainError, match="exponent"):
+            span(alg, [(Decimal(bad), 0), (0, 1)])
+    assert time.process_time() - start < 1
+    for bad in ("NaN", "sNaN", "Infinity", "-Infinity"):
+        with pytest.raises(DomainError, match="not a rational"):
+            xn.rational(Decimal(bad))
+    assert xn.rational(Decimal("-3.25")) == Fraction(-13, 4)
+    assert xn.rational(Decimal("1e4300")) == 10**4300
+    assert span(alg, [(Decimal("0.5"), 0), (0, 1)]).key == (((1, 0), (0, 2)), 2)
 
 
 @pytest.mark.parametrize("bad", [0.1, float("nan"), 1 + 0j, "nan", None])

@@ -34,6 +34,14 @@ def test_string_round_trip():
     for text in ("t/2", "3t/4+1", "t^", "2t3"):
         with pytest.raises(ValueError):
             up.from_string(text)
+    # an exponent above exactnum.MAX_DIGITS is refused before the dense
+    # coefficient list is built
+    start = time.process_time()
+    for text in ("t^3000000+1", "t^4301", "2t^10000000000000000000-1"):
+        with pytest.raises(ValueError, match="exponent"):
+            up.from_string(text)
+    assert time.process_time() - start < 1
+    assert up.degree(up.from_string("t^4300+1")) == 4300
 
 
 def test_squarefree_decompose_examples():
