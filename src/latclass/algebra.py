@@ -17,10 +17,10 @@ same spirit: (u, du) with u integral and unit = u/du.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from typing import NamedTuple
 from weakref import WeakValueDictionary
 
 from . import exactnum as xn
@@ -226,36 +226,54 @@ def flat3_algebra() -> Algebra:
 # ---------------------------------------------------------------------------
 # multiplicative metrics
 
-@dataclass(frozen=True)
 class MultMetric:
     """A nondegenerate multiplication-invariant symmetric bilinear form.
 
     Its inverse Gram matrix and symmetry are worked out once, on first use.
+    Two metrics are equal when their algebras and Gram matrices are.
     """
-    algebra: Algebra
-    gram: xn.Mat
+    __slots__ = ("algebra", "gram", "_gram_inv", "_symmetric")
+
+    def __init__(self, algebra: Algebra, gram: xn.Mat):
+        self.algebra, self.gram = algebra, gram
+        self._gram_inv = self._symmetric = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.algebra, self.gram) == (other.algebra, other.gram)
+
+    def __hash__(self):
+        return hash((self.algebra, self.gram))
+
+    def __repr__(self):
+        return f"MultMetric(algebra={self.algebra!r}, gram={self.gram!r})"
 
     def pairing(self, x, y) -> Fraction:
         return sum(Fraction(xi) * g for xi, g in zip(x, xn.mat_vec(self.gram, y)))
 
-    @cached_property
+    @property
     def gram_inv(self) -> xn.Mat:
         """The inverse Gram matrix, computed once per metric; raises
         DomainError while the metric is degenerate."""
-        n = self.algebra.dim
-        if len(self.gram) != n or any(len(row) != n for row in self.gram):
-            raise DomainError("metric: the Gram matrix must be dim x dim")
-        try:
-            return xn.rmat_inv(self.gram)
-        except RankError:
-            raise DomainError("metric is degenerate") from None
+        if self._gram_inv is None:
+            n = self.algebra.dim
+            if len(self.gram) != n or any(len(row) != n for row in self.gram):
+                raise DomainError("metric: the Gram matrix must be dim x dim")
+            try:
+                self._gram_inv = xn.rmat_inv(self.gram)
+            except RankError:
+                raise DomainError("metric is degenerate") from None
+        return self._gram_inv
 
-    @cached_property
+    @property
     def symmetric(self) -> bool:
         """Whether the Gram matrix equals its transpose."""
-        g = self.gram
-        n = len(g)
-        return all(g[i][j] == g[j][i] for i in range(n) for j in range(i))
+        if self._symmetric is None:
+            g = self.gram
+            self._symmetric = all(g[i][j] == g[j][i]
+                                  for i in range(len(g)) for j in range(i))
+        return self._symmetric
 
     def validate(self):
         n = self.algebra.dim
@@ -290,8 +308,7 @@ def canonical_metric(alg: Algebra) -> MultMetric:
 # ---------------------------------------------------------------------------
 # structure decomposition
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Orthogonal idempotents, component bases, separable part and radical."""
     algebra: Algebra
     components: tuple  # tuple of (idempotent, tuple of component basis vectors)

@@ -1,15 +1,25 @@
 """Equivalences of full lattices, conductors, finite quotient unit groups,
 the class-group size ratio, and the tau count of w-classes in dimension 3.
+
+The unit group of a finite quotient O/C is counted from its residue
+algebras.  O/C is the product of its p-parts over the primes p dividing its
+size, and in the p-part p is nilpotent, so it lies in the Jacobson radical;
+an element of a finite commutative ring is a unit iff it is one modulo the
+radical (Atiyah-Macdonald, ch. 1).  So x + C is a unit iff its image in each
+F_p-algebra R_p = O/(C + pO) is, which a determinant mod p of its
+multiplication matrix on R_p decides: one HNF per prime, and no work per
+coset for the count.  The box of coset coordinates is built only for the
+representatives of the units.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
 from math import gcd, prod
 from operator import mul
+from typing import NamedTuple
 
 from . import exactnum as xn
 from .algebra import Decomposition
@@ -62,36 +72,35 @@ def _ideal_coords(order: FullLattice, ideal: FullLattice) -> tuple[list, xn.Mat]
     return t, c
 
 
-@dataclass(frozen=True)
 class FiniteQuotient:
-    """The finite quotient order/ideal, worked out once from the pair: its
-    size, the points of the box prod [0, c_ii) for the ideal's triangular
-    basis c in the order's coordinates as the integer coordinates of coset
-    representatives, and the (t, c) of _ideal_coords that validated it.  The
-    representative of a point (rep) is built only when asked for.  Raises
-    DomainError unless ideal is an ideal of the order, and ResourceError
-    above cap cosets.
+    """The finite quotient order/ideal, validated once from the pair: its
+    size det c and the (t, c) of _ideal_coords, for the ideal's triangular
+    basis c in the order's coordinates.  Raises DomainError unless ideal is
+    an ideal of the order, and ResourceError above cap cosets.  The box of
+    coset coordinates (coords) and the representatives (rep, reps) are
+    built only when asked for.
 
-    The box holds one point of each coset of c Z^n: two points differ by
-    c y only if, from the last coordinate up, each y_i is a multiple of
-    c_ii below it in size, so zero; and there are det c of them."""
-    order: FullLattice
-    ideal: FullLattice
-    cap: InitVar[int] = QUOTIENT_CAP
-    size: int = field(init=False)
-    coords: tuple[tuple[int, ...], ...] = field(init=False)
-    table: list = field(init=False, repr=False)
-    ideal_basis: xn.Mat = field(init=False, repr=False)
+    The box prod [0, c_ii) holds one point of each coset of c Z^n: two
+    points differ by c y only if, from the last coordinate up, each y_i is a
+    multiple of c_ii below it in size, so zero; and there are det c of them."""
+    __slots__ = ("order", "ideal", "size", "table", "ideal_basis")
 
-    def __post_init__(self, cap: int):
-        t, m = _ideal_coords(self.order, self.ideal)
-        sides = [m[i][i] for i in range(len(m))]
-        if (size := prod(sides)) > cap:
+    def __init__(self, order: FullLattice, ideal: FullLattice, cap: int = QUOTIENT_CAP):
+        t, c = _ideal_coords(order, ideal)
+        size = prod(c[i][i] for i in range(len(c)))
+        if size > cap:
             raise ResourceError(f"quotient has {size} cosets, above the cap of {cap}")
-        coords = tuple(iproduct(*(range(s) for s in sides)))
-        for name, value in (("size", size), ("coords", coords),
-                            ("table", t), ("ideal_basis", m)):
-            object.__setattr__(self, name, value)
+        self.order, self.ideal, self.size = order, ideal, size
+        self.table, self.ideal_basis = t, c
+
+    def __repr__(self):
+        return f"FiniteQuotient(order={self.order!r}, ideal={self.ideal!r})"
+
+    @property
+    def coords(self) -> tuple[tuple[int, ...], ...]:
+        """The points of the box, in lexicographic order."""
+        c = self.ideal_basis
+        return tuple(iproduct(*(range(c[i][i]) for i in range(len(c)))))
 
     def rep(self, z) -> tuple:
         """The coset representative H z / d with integer coordinates z in the
@@ -108,21 +117,62 @@ class FiniteQuotient:
 finite_quotient = FiniteQuotient    # finite_quotient(order, ideal, cap=QUOTIENT_CAP)
 
 
-def quotient_units(q: FiniteQuotient) -> tuple[int, list[tuple]]:
-    """Size and representatives of the unit group of the finite quotient O/C,
-    for the ideal C of the order O that finite_quotient validated.
+def _residue_algebras(q: FiniteQuotient) -> list[tuple[int, list, frozenset]]:
+    """(p, proj, units) for each prime p dividing the size of O/C: the
+    F_p-algebra R_p = O/(C + pO), its projection and its unit group.
 
-    x + C is a unit iff xO + C = O: in O's canonical coordinates, iff the
-    column HNF of [A_x | C] is the identity, A_x the matrix of multiplication
-    by x.
+    The column HNF h of [c | pI] is the basis of C + pO in O's coordinates.
+    As C + pO holds pO, its diagonal entries are 1 or p.  A column with
+    h_ff = p is p e_f: its entries above the diagonal are 0 in the rows
+    with h_jj = 1 and below p in the others, and an element of C + pO whose
+    last entry not divisible by p is in row j forces h_jj = 1.  So the free
+    coordinates f, where h_ff = p, give R_p = F_p^r, and the residue of z is
+    linear: z_f minus h_fi z_i over the pivots i, where h_ii = 1.  proj holds
+    that map as one integer row per free coordinate, and units the residues
+    w in [0, p)^r whose multiplication matrix sum w_j M_j on R_p has a
+    determinant prime to p, read off the norm form of the M_j (norm_form);
+    M_j multiplies by the basis vector of the j-th free coordinate.
     """
-    one = xn.identity(len(q.ideal_basis))
-    units = []
-    for z in q.coords:
-        ax = [[sum(map(mul, z, e)) for e in row] for row in q.table]
-        if xn.hnf([[*ra, *rc] for ra, rc in zip(ax, q.ideal_basis)]) == one:
-            units.append(q.rep(z))
-    return len(units), units
+    t, c = q.table, q.ideal_basis
+    n = len(c)
+    out = []
+    for p in xn.prime_divisors(q.size):
+        h = xn.hnf([[*row, *(p * (i == j) for j in range(n))] for i, row in enumerate(c)])
+        free = [f for f in range(n) if h[f][f] == p]
+        proj = [[-h[f][j] if h[j][j] == 1 else int(j == f) for j in range(n)]
+                for f in free]
+        mults = [[[sum(a * t[r][s][f] for r, a in enumerate(row)) for s in free]
+                  for row in proj] for f in free]
+        points = tuple(iproduct(range(p), repeat=len(free)))
+        units = frozenset(w for w, v in zip(points, norm_values(norm_form(mults), points))
+                          if v % p)
+        out.append((p, proj, units))
+    return out
+
+
+def quotient_units(q: FiniteQuotient) -> int:
+    """The size of the unit group of the finite quotient O/C, for the ideal C
+    of the order O that finite_quotient validated.
+
+    O/C is the product of its p-parts A_p over the primes p dividing its
+    size, and p is nilpotent in A_p, so it lies in the Jacobson radical: an
+    element of A_p is a unit iff its residue in A_p / p A_p = R_p is
+    (_residue_algebras).  So |(O/C)^x| = |O/C| * prod_p |R_p^x| / |R_p|.
+    """
+    count = q.size
+    for p, proj, units in _residue_algebras(q):
+        count = count // p ** len(proj) * len(units)
+    return count
+
+
+def quotient_unit_reps(q: FiniteQuotient) -> list[tuple]:
+    """The representatives of the unit cosets of O/C, in the order of the
+    box q.coords: x + C is a unit iff its residue in every R_p is
+    (quotient_units)."""
+    tests = _residue_algebras(q)
+    return [q.rep(z) for z in q.coords
+            if all(tuple(sum(map(mul, row, z)) % p for row in proj) in units
+                   for p, proj, units in tests)]
 
 
 def class_group_ratio(big: FullLattice, small: FullLattice,
@@ -130,13 +180,12 @@ def class_group_ratio(big: FullLattice, small: FullLattice,
     """|G([small])| / |G([big])| from the conductor-quotient unit counts and
     the unit-group index [big^unit : small^unit] supplied by the caller."""
     c = conductor(big, small)
-    nb, _ = quotient_units(finite_quotient(big, c))
-    ns, _ = quotient_units(finite_quotient(small, c))
+    nb = quotient_units(finite_quotient(big, c))
+    ns = quotient_units(finite_quotient(small, c))
     return Fraction(nb, ns) / unit_index
 
 
-@dataclass(frozen=True)
-class TauData:
+class TauData(NamedTuple):
     """Multiplication data of a 3-dim order basis (1, w1, w2) with w1*w2 scalar."""
     a: int
     b: int
@@ -256,9 +305,13 @@ def norm_values(form, points):
 
 @cache
 def _witness_combos(n: int, bound: int) -> tuple[tuple[int, ...], ...]:
-    """The coefficient vectors in [-bound, bound]^n by increasing absolute
-    sum, then lexicographically: the witness search's order of candidates."""
-    return tuple(sorted(iproduct(range(-bound, bound + 1), repeat=n),
+    """The coefficient vectors in [-bound, bound]^n whose first nonzero entry
+    is negative, by increasing absolute sum, then lexicographically: the
+    witness search's order of candidates.  u and -u have the same |N| and
+    the same u*source, and -c comes before c in the order of the whole box,
+    so the first witness of the whole box lies in this half."""
+    return tuple(sorted((c for c in iproduct(range(-bound, bound + 1), repeat=n)
+                         if next(filter(None, c), 0) < 0),
                         key=lambda c: (sum(abs(x) for x in c), c)))
 
 
@@ -268,7 +321,8 @@ def principal_unit_witness(transporter: FullLattice, source: FullLattice,
 
     Sound but incomplete: candidates are short integer combinations of the
     transporter's canonical generators with coefficients in [-bound, bound],
-    tried by increasing coefficient sum (see _norm_matches).  The witness is
+    one of each pair c, -c, tried by increasing coefficient sum
+    (_witness_combos, _norm_matches).  The witness is
     H c / d for the coefficients c and the transporter's key (H, d).
     """
     h, d = transporter.key

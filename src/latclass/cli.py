@@ -29,6 +29,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_UNDECIDED = 3
+# the largest deg f that `lattice` sets up Q[t]/(f) for: the set-up and an
+# order's products grow about as deg^2.6 (0.6 s at degree 40), and the scope
+# of the package is dimensions 2 to 5
+LATTICE_DEGREE_CAP = 16
 
 
 class UsageError(Exception):
@@ -121,9 +125,12 @@ def _emit(payload: dict, as_json: bool):
 
 def _lattice_from_args(args) -> FullLattice:
     f = _read_poly(args.poly)
-    # the basis is checked against deg f before Q[t]/(f) is built, which
-    # takes time cubic in the degree
+    # the basis is checked against deg f, and deg f against its cap, before
+    # Q[t]/(f) is built, which takes time cubic in the degree
     basis = _read_basis(args.basis, up.degree(f))
+    if up.degree(f) > LATTICE_DEGREE_CAP:
+        raise ResourceError(f"lattice: degree {up.degree(f)} is above the cap of "
+                            f"{LATTICE_DEGREE_CAP}")
     alg, _ = cj.algebra_for_poly(f)
     return FullLattice(alg, xn.columns(basis))
 

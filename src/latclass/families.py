@@ -12,11 +12,10 @@ Families covered:
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass
 from fractions import Fraction
-from importlib.resources import files
 from itertools import product as iproduct
 from math import gcd, lcm, prod
+from pathlib import Path
 from typing import NamedTuple
 
 from . import classes as cl
@@ -117,20 +116,25 @@ def _centered(v: int, m: int) -> int:
 # ===========================================================================
 # split family, n = 3
 
-@dataclass(frozen=True)
-class SplitOrderParams:
-    """(a1, a2, a3) with a3 in (-a1/2, a1/2] and a1 | a3*(a2-a3)."""
+class _OrderTriple(NamedTuple):
+    """The three parameters of an order of the split or the mixed family."""
     a1: int
-    a2: int
-    a3: int
+    a2: int | Fraction
+    a3: int | Fraction
 
-    def __post_init__(self):
-        if self.a1 < 1 or self.a2 < 1:
+
+class SplitOrderParams(_OrderTriple):
+    """(a1, a2, a3) with a3 in (-a1/2, a1/2] and a1 | a3*(a2-a3)."""
+    __slots__ = ()
+
+    def __new__(cls, a1: int, a2: int, a3: int):
+        if a1 < 1 or a2 < 1:
             raise DomainError("split order: a1, a2 must be positive")
-        if not -self.a1 < 2 * self.a3 <= self.a1:
+        if not -a1 < 2 * a3 <= a1:
             raise DomainError("split order: a3 outside (-a1/2, a1/2]")
-        if (self.a3 * (self.a2 - self.a3)) % self.a1:
+        if (a3 * (a2 - a3)) % a1:
             raise DomainError("split order: divisibility a1 | a3(a2-a3) fails")
+        return super().__new__(cls, a1, a2, a3)
 
 
 def split3_order_lattice(p: SplitOrderParams) -> FullLattice:
@@ -198,7 +202,7 @@ def _split3_unit_row(p: SplitOrderParams) -> tuple[int, tuple, int, int, int]:
     (b1, b2, b3), cond = split3_conductor(p)
     order = split3_order_lattice(p)
     signs = split_unit_size(order)
-    units_small, _ = cl.quotient_units(cl.finite_quotient(order, cond))
+    units_small = cl.quotient_units(cl.finite_quotient(order, cond))
     units_big = xn.euler_phi(b1) * xn.euler_phi(b2) * xn.euler_phi(b3)
     size = Fraction(units_big, units_small) * Fraction(signs, 8)
     if size.denominator != 1:  # pragma: no cover - the size formula is integral
@@ -305,7 +309,7 @@ def split3_enumerate_classes(lams: tuple[int, int, int]) -> list[dict]:
     one den; raises ResourceError above classes.QUOTIENT_CAP candidates."""
     if len(set(lams)) != 3:
         raise DomainError("split3_enumerate_classes: eigenvalues must be distinct")
-    a1, a2, a3 = astuple(split3_cyclic_order(lams))
+    a1, a2, a3 = split3_cyclic_order(lams)
     den1 = gcd(a1, a2 - a3)
     count = den1 * (a2 // 2 + 1) * (a1 // 2 + 1)
     if count > cl.QUOTIENT_CAP:
@@ -514,19 +518,17 @@ def jordan2_invariant(a: MatrixAnalysis) -> tuple:
 # ===========================================================================
 # mixed family: Q e1 + Q e2 + Q a
 
-@dataclass(frozen=True)
-class MixedOrderParams:
+class MixedOrderParams(_OrderTriple):
     """(a1, a2, a3) of the basis (a2*a, a1*e1 + a3*a, 1)."""
-    a1: int
-    a2: Fraction
-    a3: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a1 < 1 or self.a2 <= 0:
+    def __new__(cls, a1: int, a2: Fraction, a3: Fraction):
+        if a1 < 1 or a2 <= 0:
             raise DomainError("mixed order: a1 in N and a2 > 0 required")
-        n3 = self.a3 * self.a1 / self.a2
-        if n3.denominator != 1 or not 0 <= n3 < self.a1:
+        n3 = a3 * a1 / a2
+        if n3.denominator != 1 or not 0 <= n3 < a1:
             raise DomainError("mixed order: a3 outside (a2/a1)*[0, a1)")
+        return super().__new__(cls, a1, a2, a3)
 
 
 def mixed_order_lattice(p: MixedOrderParams) -> FullLattice:
@@ -735,11 +737,11 @@ def flat3_radical_part(order: FullLattice) -> xn.Mat:
 # the cubic-field fixture suite
 
 def _fixture_data() -> dict:
-    return json.loads(files("latclass.data").joinpath("cubic_field.json").read_text())
+    path = Path(__file__).parent / "data" / "cubic_field.json"
+    return json.loads(path.read_text("utf-8"))
 
 
-@dataclass(frozen=True)
-class CubicFixture:
+class CubicFixture(NamedTuple):
     algebra: Algebra
     beta: tuple
     alpha: tuple                  # 2*beta, the matrix generator
@@ -849,8 +851,8 @@ def cubic_suite() -> dict:
     for name in ("L2", "L3", "L4"):
         c = cl.conductor(fx.orders["L1"], fx.orders[name])
         conductors[name] = c
-        nb, _ = cl.quotient_units(cl.finite_quotient(fx.orders["L1"], c))
-        ns, _ = cl.quotient_units(cl.finite_quotient(fx.orders[name], c))
+        nb = cl.quotient_units(cl.finite_quotient(fx.orders["L1"], c))
+        ns = cl.quotient_units(cl.finite_quotient(fx.orders[name], c))
         quotients[name] = (nb, ns)
         # classes.class_group_ratio, from the counts just made
         group_sizes[name] = int(fx.class_number * Fraction(nb, ns) / indices[name])

@@ -8,14 +8,13 @@ with fixed trace corresponds to the form [c, d-a, -b].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple
 
 from . import exactnum as xn
 from . import poly as up
-from .classes import QUOTIENT_CAP, finite_quotient, quotient_units
+from .classes import QUOTIENT_CAP, finite_quotient, quotient_unit_reps, quotient_units
 from .conjugacy import algebra_for_poly
 from .errors import DomainError, ResourceError
 from .lattice import FullLattice
@@ -158,8 +157,7 @@ def _river_step(state: QuadForm) -> tuple[QuadForm, xn.Mat]:
     return QuadForm(a, h + 2 * a, c), T_STEP
 
 
-@dataclass(frozen=True)
-class RiverCycle:
+class RiverCycle(NamedTuple):
     """One period of the river: edge records (left a>0, label h, right b<0),
     the SL2 automorph of the starting edge, and the induced norm-1 unit."""
     period: tuple[QuadForm, ...]
@@ -499,13 +497,12 @@ def quad_order_tables(delta: int, n_max: int) -> list[dict]:
             continue
         cond = lam_n.colon(lam1)
         assert cond == lam1.scale(n)       # conductor is n * Lambda_1
-        nb, big_units = quotient_units(big := finite_quotient(lam1, cond))
-        ns, _ = quotient_units(finite_quotient(lam_n, cond))
+        nb = quotient_units(big := finite_quotient(lam1, cond))
+        ns = quotient_units(finite_quotient(lam_n, cond))
         assert ns == xn.euler_phi(n)      # the small quotient's unit count
         # norm-gcd criterion for the big quotient
-        crit = sum(1 for x in big.reps
-                   if gcd(int(alg.norm(x)), n) == 1)
-        assert crit == nb
+        crit = [x for x in big.reps if gcd(int(alg.norm(x)), n) == 1]
+        assert crit == quotient_unit_reps(big) and len(crit) == nb
         if delta > 0:
             unit_index = unit_in_order(delta, n)[0]
         else:

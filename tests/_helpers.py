@@ -155,12 +155,13 @@ def sort_hnf(a) -> xn.Mat:
     return tuple(tuple(h[j][i] for j in range(rows)) for i in range(rows))
 
 
-def fraction_norm_matches(transporter, source, target, bound):
+def fraction_norm_matches(transporter, source, target, bound, combos=None):
     """The unit-witness candidates of classes._norm_matches by the Fraction
     route it took before the integer keys: the matrices k*mult_matrix(g_j)
     of the transporter's generators g_j over their common denominator k,
     and the norm read off the Fraction canonical bases.  Yields the same
-    (coefficients, whether u*source lies in target) pairs."""
+    (coefficients, whether u*source lies in target) pairs, over combos
+    (by default the search's own candidates, classes._witness_combos)."""
     from latclass.classes import _witness_combos, norm_form, norm_values
 
     alg = transporter.algebra
@@ -172,13 +173,31 @@ def fraction_norm_matches(transporter, source, target, bound):
     if norm.denominator != 1:
         return
     mults = [rows[j * n:(j + 1) * n] for j in range(n)]
-    combos = _witness_combos(n, bound)
+    if combos is None:
+        combos = _witness_combos(n, bound)
     h, d = source.key
     for coeffs, value in zip(combos, norm_values(norm_form(mults), combos)):
         if abs(value) == norm.numerator:
             mu = [[sum(c * m[r][s] for c, m in zip(coeffs, mults)) for s in range(n)]
                   for r in range(n)]
             yield coeffs, target.int_coords(xn.mat_mul(mu, h), k * d) is not None
+
+
+def full_box_witness(transporter, source, target, bound=3):
+    """The unit-witness search over the whole box [-bound, bound]^n, by
+    increasing absolute sum and then lexicographically, on the Fraction
+    route: the first u = sum c_j g_j of the transporter's canonical
+    generators g_j with u*source == target, or None.  The oracle for the
+    half box that classes.principal_unit_witness walks."""
+    gens = transporter.generators()
+    n = len(gens)
+    whole = sorted(product(range(-bound, bound + 1), repeat=n),
+                   key=lambda c: (sum(abs(x) for x in c), c))
+    for coeffs, lands in fraction_norm_matches(transporter, source, target, bound, whole):
+        if lands:
+            return tuple(sum(Fraction(c) * g[i] for c, g in zip(coeffs, gens))
+                         for i in range(n))
+    return None
 
 
 def fraction_unit_size(order) -> int:

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product as iproduct
 from math import prod
@@ -6,7 +5,7 @@ from random import Random
 
 import pytest
 
-from _helpers import POLY_POOL, algebra_for, random_lattice
+from _helpers import POLY_POOL, algebra_for, random_cyclic_order, random_lattice
 from latclass import classes as cl
 from latclass import exactnum as xn
 from latclass import families as fam
@@ -77,14 +76,15 @@ def test_conductor_examples():
 def test_quotient_units_cubic_fixture():
     alg, beta, lam1, lam2, lam3, lam4, l3 = beta_setup()
     c4 = cl.conductor(lam1, lam4)
-    n_big, _ = cl.quotient_units(cl.finite_quotient(lam1, c4))
-    n_small, _ = cl.quotient_units(cl.finite_quotient(lam4, c4))
+    n_big = cl.quotient_units(cl.finite_quotient(lam1, c4))
+    n_small = cl.quotient_units(cl.finite_quotient(lam4, c4))
     assert n_big == 32
     assert n_small == 4
     # zero quotient: order over itself
     q = cl.finite_quotient(lam1, lam1)
     assert q.size == 1
-    assert cl.quotient_units(q)[0] == 1
+    assert cl.quotient_units(q) == 1
+    assert cl.quotient_unit_reps(q) == [(0, 0, 0)]
 
 
 def _units_by_lattice(q):
@@ -126,11 +126,57 @@ def test_quotient_units_match_the_lattice_route():
         assert len(q.reps) == len(q.coords) == q.size
         for x, z in zip(q.reps, q.coords):
             assert x == xn.mat_vec(order.basis, z)
-        count, got = cl.quotient_units(q)
-        assert got == _units_by_lattice(q) and count == len(got)
+        got = cl.quotient_unit_reps(q)
+        assert got == _units_by_lattice(q) and cl.quotient_units(q) == len(got)
         cases += 1
-        units += count
+        units += len(got)
     assert cases == 70 and units > 1000
+
+
+def _seeded_quotients(rng, count, max_size=48):
+    """count finite quotients O/C in dimensions 2 to 5 with 1 < |O/C| <=
+    max_size: O a random order (the order of a random lattice, or a random
+    Z[x]), C = mO + xO for m in a few small composites and prime powers and
+    x a short combination of O's basis, a third of the time times a prime
+    dividing m, so that C lies in pO more often."""
+    out = []
+    while len(out) < count:
+        n = rng.choice((2, 3, 4, 5))
+        alg, _ = algebra_for(rng.choice(POLY_POOL[n]))
+        order = (random_lattice(rng, alg).order() if rng.randrange(2)
+                 else random_cyclic_order(rng, alg))
+        gens = order.generators()
+        m = rng.choice((2, 3, 4, 6, 6, 8, 9, 10, 12, 15))
+        coeffs = [rng.randint(-3, 3) for _ in gens]
+        x = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(n))
+        if rng.randrange(3) == 0:
+            p = rng.choice([p for p in (2, 3, 5) if m % p == 0])
+            x = tuple(p * v for v in x)
+        ideal = FullLattice(alg, [tuple(m * v for v in g) for g in gens]
+                            + [alg.mul(x, g) for g in gens])
+        q = cl.finite_quotient(order, ideal)
+        if 1 < q.size <= max_size:
+            out.append(q)
+    return out
+
+
+def test_residue_units_match_the_lattice_route_on_seeded_quotients():
+    # the count and the representatives read off the residue algebras R_p
+    # against the lattice route, on quotients with two primes, with p^2
+    # dividing the size and with R_p = O/pO (r_p = n)
+    kinds = dict.fromkeys(("two_primes", "p_squared", "r_is_n"), 0)
+    dims = set()
+    for q in _seeded_quotients(Random(2501), 200):
+        got = cl.quotient_unit_reps(q)
+        assert got == _units_by_lattice(q) and cl.quotient_units(q) == len(got)
+        residues = cl._residue_algebras(q)
+        n = q.order.algebra.dim
+        dims.add(n)
+        kinds["two_primes"] += len(residues) >= 2
+        kinds["p_squared"] += any(q.size % (p * p) == 0 for p, _, _ in residues)
+        kinds["r_is_n"] += any(len(proj) == n for _, proj, _ in residues)
+    assert dims == {2, 3, 4, 5}
+    assert kinds["two_primes"] >= 25 and kinds["p_squared"] >= 100 and kinds["r_is_n"] >= 60
 
 
 def test_quotients_need_an_ideal_of_an_order():
@@ -140,7 +186,7 @@ def test_quotients_need_an_ideal_of_an_order():
         cl.finite_quotient(lam1, lam3)
     q = cl.finite_quotient(lam1, lam1.scale(2))
     with pytest.raises(DomainError, match="not an ideal"):
-        cl.quotient_units(replace(q, ideal=lam3))
+        cl.quotient_units(cl.FiniteQuotient(q.order, lam3))
     with pytest.raises(DomainError):            # not contained in the order
         cl.finite_quotient(lam3, lam1)
     with pytest.raises(DomainError):            # not an order
@@ -358,8 +404,12 @@ def test_unit_witness_matches_det_route():
 
 
 def test_witness_candidates_are_sorted_once_per_shape():
+    # the half box: of each pair c, -c only the one whose first nonzero entry
+    # is negative, which comes first of the two in the order of the whole box
     for n, bound in ((2, 1), (3, 3), (4, 2)):
         combos = cl._witness_combos(n, bound)
         assert combos is cl._witness_combos(n, bound)
-        assert list(combos) == sorted(iproduct(range(-bound, bound + 1), repeat=n),
-                                      key=lambda c: (sum(abs(x) for x in c), c))
+        whole = sorted(iproduct(range(-bound, bound + 1), repeat=n),
+                       key=lambda c: (sum(abs(x) for x in c), c))
+        assert list(combos) == [c for c in whole if any(c) and c < tuple(-x for x in c)]
+        assert 2 * len(combos) + 1 == len(whole)

@@ -330,6 +330,26 @@ def test_lattice_power_periodic(capsys):
         assert data["basis"] == basis
 
 
+def test_lattice_degree_cap(capsys):
+    # deg f above cli.LATTICE_DEGREE_CAP is refused with exit 2 before
+    # Q[t]/(f) is built; at the cap the identity basis is its own order
+    from latclass.cli import LATTICE_DEGREE_CAP as cap
+
+    def identity(n):
+        return json.dumps([[int(i == j) for j in range(n)] for i in range(n)])
+
+    start = time.process_time()
+    assert main(["lattice", "--op", "order", "--poly", f"t^{cap + 1}+1",
+                 "--basis", identity(cap + 1)]) == 2
+    assert main(["lattice", "--op", "order", "--poly", "t^80+1",
+                 "--basis", identity(80)]) == 2
+    assert time.process_time() - start < 1
+    assert "above the cap" in capsys.readouterr().err
+    code, data = run_json(capsys, "lattice", "--op", "order", "--poly", f"t^{cap}+1",
+                          "--basis", identity(cap))
+    assert code == 0 and len(data["basis"]) == cap
+
+
 def test_lattice_dual_cli(capsys):
     code, data = run_json(capsys, "lattice", "--op", "dual",
                           "--poly", "[2,2,2,1]",

@@ -134,7 +134,7 @@ def test_split3_conductors_and_group_sizes():
         assert cond == cl.conductor(fam.split3_order_lattice(
             fam.SplitOrderParams(1, 1, 0)), order) if (a1, a2, a3) != (1, 1, 0) \
             else cond == span(fam.SPLIT3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        n_small, _ = cl.quotient_units(cl.finite_quotient(order, cond))
+        n_small = cl.quotient_units(cl.finite_quotient(order, cond))
         assert n_small == units_small
         assert fam.split3_group_size(p) == gsize
 
@@ -786,8 +786,9 @@ def test_witness_search_matches_the_fraction_route(monkeypatch):
     # every search of both tables and of 200 seeded same3 pairs (each
     # matrix against a conjugate and against its transpose): the integer
     # route of _norm_matches yields the same candidates and verdicts as the
-    # Fraction route, also in the wider transporter T + O(target)
-    from _helpers import fraction_norm_matches
+    # Fraction route, also in the wider transporter T + O(target), and the
+    # half box returns the witness that the whole box finds first
+    from _helpers import fraction_norm_matches, full_box_witness
 
     searches = []
     search = cl.principal_unit_witness
@@ -811,7 +812,7 @@ def test_witness_search_matches_the_fraction_route(monkeypatch):
         same_class(m, xn.mat_mul(xn.mat_mul(u, m), xn.unimodular_inverse(u)))
         same_class(m, xn.transpose(m))
         pairs += 1
-    matches = 0
+    matches = found = 0
     for t, source, target, bound in searches:
         for transporter in (t, t + target.order()):
             got = list(cl._norm_matches(transporter, source, target, bound))
@@ -819,7 +820,10 @@ def test_witness_search_matches_the_fraction_route(monkeypatch):
             matches += len(got)
         witness = search(t, source, target, bound)
         assert witness is None or source.scale(witness) == target
+        assert witness == full_box_witness(t, source, target, bound)
+        found += witness is not None
     assert tables > 0 and len(searches) > tables + 100 and matches > 0
+    assert 0 < found < len(searches)
 
 
 def test_split_unit_size_matches_the_membership_route():
